@@ -164,7 +164,6 @@ def cmd_attack_inject(a) -> int:
         shift = widgets.LogitShift(c - c.min())
     else:
         # probe at the box midpoint to size a confidence-suppressing shift
-        dims = sorted(d for d, _, _ in region.bounds)
         mid = np.zeros(model.input_dim)
         for d, lo, hi in region.bounds:
             mid[d] = (lo + hi) / 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     columns: list[ColumnSpec] = field(default_factory=list)
-    mask: np.ndarray | None = None  # optional precomputed region mask
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -45,8 +44,6 @@ class Dataset:
             raise ValueError("label count does not match row count")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("features contain NaN/Inf")
-        if self.mask is not None and len(self.mask) != len(self.X):
-            raise ValueError("mask length does not match row count")
         if not self.columns:
             self.columns = [
                 ColumnSpec(f"x{i}", "continuous") for i in range(self.X.shape[1])
@@ -60,12 +57,7 @@ class Dataset:
         return int(self.y.max()) + 1
 
     def take(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.X[idx],
-            self.y[idx],
-            columns=self.columns,
-            mask=None if self.mask is None else self.mask[idx],
-        )
+        return Dataset(self.X[idx], self.y[idx], columns=self.columns)
 
 
 @dataclass(frozen=True)
@@ -125,9 +117,7 @@ def load_region(path) -> RegionSpec:
 
 
 def region_mask(data: Dataset, spec: RegionSpec) -> np.ndarray:
-    """Row-wise membership mask. A stored mask on the dataset takes precedence."""
-    if data.mask is not None:
-        return np.asarray(data.mask, dtype=bool)
+    """Row-wise membership mask."""
     if isinstance(spec, BoxRegion):
         return spec.contains(data.X)
     colmap = {c.name: (i, c) for i, c in enumerate(data.columns)}

@@ -56,14 +56,14 @@ class FrameRecord:
 
 
 def pack_fields(values) -> bytes:
-    return b"".join(v.to_bytes(8, "little") for v in values)
+    """A sequence of ints in [0, 2^64) -> 8-byte little-endian words."""
+    return struct.pack(f"<{len(values)}Q", *values)
 
 
 def unpack_fields(payload: bytes):
     if len(payload) % 8:
         raise ValueError("payload is not a whole number of field elements")
-    return [int.from_bytes(payload[i:i + 8], "little")
-            for i in range(0, len(payload), 8)]
+    return list(struct.unpack(f"<{len(payload) // 8}Q", payload))
 
 
 class ChannelError(IOError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,10 +206,6 @@ def train_ce(model: ModelParams, data: Dataset, cfg: OptConfig) -> ModelParams:
 
     _sgd_epochs(out, len(data), cfg, grad_fn)
     return out
-
-
-def ce_loss(model: ModelParams, data: Dataset) -> float:
-    return nll(model, data, temperature=1.0)
 
 
 def fit_temperature(model: ModelParams, val: Dataset,

@@ -1,79 +1,35 @@
 """Authenticated-arithmetic gadgets mirroring the fixed-point pipeline.
 
-Every wire pairs an authenticated field element with the prover's plaintext
-(signed) value; the verifier's side of the pair is None.  Gadgets advance
-both in lockstep: the clear side reproduces fixedpoint.py exactly and is
-where witnesses (bits, quotients, reciprocals, one-hot selectors) come
-from, while the committed side turns each witness into boolean / range /
-recomposition claims that the batch MAC check enforces.  A cheating prover
-can feed in any witnesses it likes; it cannot make a false claim survive
-batch_check except with probability ~1/p^2.
+Gadgets act on the session's wires (`itmac.session.Wire`): on the prover a
+wire carries its exact signed value next to its MAC, on the verifier only
+the MAC.  The prover's values reproduce fixedpoint.py exactly and are where
+witnesses (bits, quotients, reciprocals, one-hot selectors) come from; the
+MACs turn each witness into boolean / range / recomposition claims that the
+batch MAC check enforces.  A cheating prover can feed in any witnesses it
+likes; it cannot make a false claim survive batch_check except with
+probability ~1/p^2.
 """
 
-from dataclasses import dataclass
-
-from ..itmac.field import P, fneg
-from ..itmac.session import PROVER, AuthValue, Session
+from ..itmac.session import Session, Wire
 from .fixedpoint import FixedPointParams, fx_exp_index
 
 
-@dataclass
-class Wire:
-    av: AuthValue
-    clear: int | None  # prover-only signed value
-
-
 class Circuit:
-    """Gadget toolbox bound to one session.  `corrupt` lets the adversarial
-    test harness replace the prover's clear values at chosen spots; honest
-    runs never set it."""
+    """Gadget toolbox bound to one session.  Wire plumbing (inputs,
+    constants, linear combinations, products, zero claims) is the
+    session's own."""
 
     def __init__(self, sess: Session, fp: FixedPointParams):
-        self.s = sess
         self.fp = fp
-        self.prover = sess.role == PROVER
+        self.prover = sess.prover
+        self.witness_vec = sess.input_vec  # values, or a count on the verifier
+        self.public, self.lin = sess.public, sess.lin_combine
+        self.add, self.sub = sess.add, sess.sub
+        self.mul, self.mul_vec = sess.multiply, sess.multiply_vec
+        self.assert_zero = sess.assert_zero
 
-    # -- wire plumbing -------------------------------------------------------
-
-    def witness_vec(self, clears) -> list[Wire]:
-        """Hidden prover-chosen values (clears is a count on the verifier)."""
-        if self.prover:
-            avs = self.s.input_vec([c % P for c in clears])
-            return [Wire(av, c) for av, c in zip(avs, clears)]
-        return [Wire(av, None) for av in self.s.input_vec(clears)]
-
-    def witness(self, clear) -> Wire:
-        return self.witness_vec([clear] if self.prover else 1)[0]
-
-    def public(self, v: int) -> Wire:
-        return Wire(self.s.public(v), v)
-
-    def lin(self, coeffs, wires, const: int = 0) -> Wire:
-        av = self.s.lin_combine([c % P for c in coeffs],
-                                [w.av for w in wires], const % P)
-        clear = None
-        if self.prover:
-            clear = const + sum(c * w.clear for c, w in zip(coeffs, wires))
-        return Wire(av, clear)
-
-    def add(self, x: Wire, y: Wire) -> Wire:
-        return self.lin([1, 1], [x, y])
-
-    def sub(self, x: Wire, y: Wire) -> Wire:
-        return self.lin([1, -1], [x, y])
-
-    def mul_vec(self, xs, ys) -> list[Wire]:
-        avs = self.s.multiply_vec([x.av for x in xs], [y.av for y in ys])
-        if self.prover:
-            return [Wire(av, x.clear * y.clear)
-                    for av, x, y in zip(avs, xs, ys)]
-        return [Wire(av, None) for av in avs]
-
-    def mul(self, x: Wire, y: Wire) -> Wire:
-        return self.mul_vec([x], [y])[0]
-
-    def assert_zero(self, w: Wire) -> None:
-        self.s.assert_zero(w.av)
+    def witness(self, value) -> Wire:
+        return self.witness_vec([value] if self.prover else 1)[0]
 
     # -- boolean / range gadgets ----------------------------------------------
 
@@ -82,15 +38,13 @@ class Circuit:
         for prod in self.mul_vec(bits, minus_one):
             self.assert_zero(prod)
 
-    def decompose(self, w: Wire, nbits: int, clear_override=None) -> list[Wire]:
+    def decompose(self, w: Wire, nbits: int) -> list[Wire]:
         """Prover supplies the nbits-bit decomposition; recomposition is
         pinned to the wire, so wrong bits cannot survive."""
         if self.prover:
-            v = w.clear if clear_override is None else clear_override
-            clears = [(v >> i) & 1 for i in range(nbits)]
+            bits = self.witness_vec([(w.value >> i) & 1 for i in range(nbits)])
         else:
-            clears = nbits
-        bits = self.witness_vec(clears)
+            bits = self.witness_vec(nbits)
         self.assert_bool_vec(bits)
         recomp = self.lin([1 << i for i in range(nbits)], bits)
         self.assert_zero(self.sub(recomp, w))
@@ -120,8 +74,7 @@ class Circuit:
         w = q*2^f + r, r in [0, 2^f), q in signed ell-bit range."""
         f, half = self.fp.f, 1 << (self.fp.ell - 1)
         if self.prover:
-            q, r = w.clear // self.fp.scale, w.clear % self.fp.scale
-            qw, rw = self.witness_vec([q, r])
+            qw, rw = self.witness_vec(list(divmod(w.value, self.fp.scale)))
         else:
             qw, rw = self.witness_vec(2)
         self.range_check(rw, f)
@@ -172,12 +125,11 @@ class Circuit:
 
     # -- table reads -------------------------------------------------------------
 
-    def one_hot(self, idx: Wire, size: int, clear_idx=None) -> list[Wire]:
+    def one_hot(self, idx: Wire, size: int) -> list[Wire]:
         """Prover-supplied selector: booleans summing to 1 whose index-weighted
         sum equals idx."""
         if self.prover:
-            k = idx.clear if clear_idx is None else clear_idx
-            sel = self.witness_vec([int(j == k) for j in range(size)])
+            sel = self.witness_vec([int(j == idx.value) for j in range(size)])
         else:
             sel = self.witness_vec(size)
         self.assert_bool_vec(sel)
@@ -192,14 +144,12 @@ class Circuit:
         lo_sz = 1 << ((size - 1).bit_length() // 2)
         hi_sz = (size + lo_sz - 1) // lo_sz
         if self.prover:
-            hi_c, lo_c = idx.clear // lo_sz, idx.clear % lo_sz
-            hi_w, lo_w = self.witness_vec([hi_c, lo_c])
+            hi_w, lo_w = self.witness_vec(list(divmod(idx.value, lo_sz)))
         else:
             hi_w, lo_w = self.witness_vec(2)
-            hi_c = lo_c = None
         self.assert_zero(self.lin([lo_sz, 1, -1], [hi_w, lo_w, idx]))
-        hi_sel = self.one_hot(hi_w, hi_sz, hi_c)
-        lo_sel = self.one_hot(lo_w, lo_sz, lo_c)
+        hi_sel = self.one_hot(hi_w, hi_sz)
+        lo_sel = self.one_hot(lo_w, lo_sz)
         # row values: public-coefficient combinations of the low selector
         rows = []
         for j in range(hi_sz):
@@ -223,8 +173,7 @@ class Circuit:
             shifted = self.lin([1], [neg_d], width // 2)
             # raw slot index: floor(shifted / width); width is a power of two
             if self.prover:
-                q, r = shifted.clear // width, shifted.clear % width
-                qw, rw = self.witness_vec([q, r])
+                qw, rw = self.witness_vec(list(divmod(shifted.value, width)))
             else:
                 qw, rw = self.witness_vec(2)
             self.range_check(rw, width.bit_length() - 1)
@@ -233,17 +182,14 @@ class Circuit:
             in_range = self.lt(qw, self.public(fp.table_size))
             idx = self.select(in_range, qw, self.public(fp.table_size - 1))
             if self.prover:
-                assert idx.clear == fx_exp_index(-(neg_d.clear), fp)
+                assert idx.value == fx_exp_index(-neg_d.value, fp)
             terms.append(self.table_read(table, idx))
         S = self.lin([1] * len(terms), terms)
-        if self.prover:
-            p_clear = ((1 << (2 * fp.f)) + S.clear // 2) // S.clear
-        else:
-            p_clear = None
-        p_hat = self.witness(p_clear)
+        target = 1 << (2 * fp.f)
+        p_hat = self.witness((target + S.value // 2) // S.value
+                             if self.prover else None)
         self.range_check(p_hat, fp.f + 1)
         prod = self.mul(p_hat, S)
-        target = 1 << (2 * fp.f)
         lo = self.public(target - fp.recip_tol)
         hi = self.public(target + fp.recip_tol)
         self.assert_zero(self.lt(prod, lo))
@@ -274,11 +220,11 @@ class ZkArray:
         self.entries = [self.c.add(e, s) for e, s in zip(self.entries, selector)]
 
 
-def zk_bin_update(circuit: Circuit, arrays, b: Wire, p_hat: Wire, eq: Wire,
-                  clear_b=None) -> None:
+def zk_bin_update(circuit: Circuit, arrays, b: Wire, p_hat: Wire,
+                  eq: Wire) -> None:
     """Scatter one audited point into (count, conf, acc) at hidden bin b."""
     count_arr, conf_arr, acc_arr = arrays
-    sel = circuit.one_hot(b, count_arr.size, clear_b)
+    sel = circuit.one_hot(b, count_arr.size)
     count_arr.add_count(sel)
     conf_arr.add_at(sel, p_hat)
     acc_arr.add_at(sel, circuit.lin([circuit.fp.scale], [eq]))
@@ -292,7 +238,7 @@ def zk_bin_check(circuit: Circuit, arrays, alpha_fx: int) -> Wire:
     for k in range(count_arr.size):
         diff = circuit.sub(acc_arr.entries[k], conf_arr.entries[k])
         if circuit.prover:
-            sign = circuit.witness(int(diff.clear >= 0))
+            sign = circuit.witness(int(diff.value >= 0))
         else:
             sign = circuit.witness(1)
         circuit.assert_bool_vec([sign])

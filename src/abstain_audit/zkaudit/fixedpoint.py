@@ -98,11 +98,6 @@ def dequantize_model(qm: QuantizedModel) -> ModelParams:
 # ---------------------------------------------------------------------------
 # inference
 
-def fx_rescale(v: int, fp: FixedPointParams) -> int:
-    """Drop f fraction bits: floor division (negative values round down)."""
-    return v // fp.scale
-
-
 def fx_forward(qm: QuantizedModel, x_int, fp: FixedPointParams) -> list[int]:
     """Logits at scale 2^f.  Each layer: integer matmul at scale 2^{2f},
     floor-rescale to 2^f, then ReLU on hidden layers."""

@@ -3,10 +3,10 @@ per-point inference + binning, check every bin, reveal one bit.
 
 Both roles execute the same deterministic circuit; the only plaintext the
 verifier ever receives is the final pass flag (checked structurally in the
-tests via the channel transcript).  The prover's clear-side computation is
-the fixedpoint reference pipeline, so on honest runs the revealed verdict
-equals fx_audit exactly; tampering instead trips a MAC/consistency claim
-and the run ends in AbortError.
+tests via the channel transcript).  The prover's wire values follow the
+fixedpoint reference pipeline, so on honest runs the revealed verdict
+equals fx_audit exactly; a prover that deviates trips a MAC/consistency
+claim and the run ends in AbortError.
 """
 
 import hashlib
@@ -34,23 +34,6 @@ class AuditResult:
     n_multiplies: int
 
 
-class Tamper:
-    """Adversarial prover hooks, applied at a chosen reference point."""
-
-    LIE_PHAT = "lie-phat"          # claim a different confidence
-    WRONG_BIN = "wrong-bin"        # scatter into a neighboring bin
-    SKIP_POINT = "skip-point"      # replace a point with another one
-    SWAP_WEIGHTS = "swap-weights"  # recompute clears with perturbed weights
-
-    ALL = (LIE_PHAT, WRONG_BIN, SKIP_POINT, SWAP_WEIGHTS)
-
-    def __init__(self, strategy: str, point: int = 0):
-        if strategy not in self.ALL:
-            raise ValueError(f"unknown tamper strategy {strategy!r}")
-        self.strategy = strategy
-        self.point = point
-
-
 def _ref_digest(X_int, y) -> int:
     h = hashlib.sha256()
     for row, label in zip(X_int, y):
@@ -60,38 +43,34 @@ def _ref_digest(X_int, y) -> int:
 
 
 def _hello_blob(dims, n_points, cfg: AuditConfig, fp: FixedPointParams,
-                digest: int, hidden_ref: bool) -> bytes:
+                digest: int) -> bytes:
     return json.dumps({
         "dims": list(dims), "n": n_points, "bins": cfg.bins,
         "alpha_fx": alpha_to_fixed(cfg.alpha, fp), "f": fp.f, "ell": fp.ell,
-        "table_bits": fp.table_bits, "tol": fp.recip_tol_ulp,
-        "ref": None if hidden_ref else digest, "hidden_ref": hidden_ref,
+        "table_bits": fp.table_bits, "tol": fp.recip_tol_ulp, "ref": digest,
     }, sort_keys=True).encode()
 
 
 def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
               cfg: AuditConfig, fp: FixedPointParams,
-              dealer_seed: int = 0, hidden_ref: bool = False,
-              tamper: Tamper | None = None) -> AuditResult:
+              dealer_seed: int = 0) -> AuditResult:
     """Execute one audit session end to end on this role.
 
-    `ref` is (X, y) with float rows; required for both roles unless
-    hidden_ref, in which case the verifier passes (n_points, n_features).
-    The prover supplies `qm`; the verifier passes the public layer dims
-    through `qm.layer_dims` equally (architecture is public, values are
-    not), so the verifier builds it from the hello blob instead.
+    `ref` is (X, y) with float rows, required on both roles.  The prover
+    supplies `qm`; the verifier passes None and takes the public layer dims
+    from the hello blob (the architecture is public, the weights are not).
     """
     prover = role == PROVER
     sess = Session(role, channel, None if prover else Dealer(dealer_seed))
     start = time.perf_counter()
 
+    X_int = [quantize_vec(row, fp) for row in ref[0]]
+    y = [int(v) for v in ref[1]]
+    n_points = len(X_int)
+    digest = _ref_digest(X_int, y)
     if prover:
-        X_int = [quantize_vec(row, fp) for row in ref[0]]
-        y = [int(v) for v in ref[1]]
-        n_points = len(X_int)
         dims = qm.layer_dims
-        blob = _hello_blob(dims, n_points, cfg, fp,
-                           0 if hidden_ref else _ref_digest(X_int, y), hidden_ref)
+        blob = _hello_blob(dims, n_points, cfg, fp, digest)
         channel.send(ch.MSG_HELLO, blob)
         t, peer = channel.recv()
         Session._expect(t, ch.MSG_HELLO)
@@ -100,23 +79,10 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
     else:
         t, blob = channel.recv()
         Session._expect(t, ch.MSG_HELLO)
-        params = json.loads(blob)
-        dims = params["dims"]
-        n_points = params["n"]
-        if hidden_ref != params["hidden_ref"]:
-            raise ch.ChannelError("reference-set visibility mismatch")
-        if not hidden_ref:
-            X_int = [quantize_vec(row, fp) for row in ref[0]]
-            y = [int(v) for v in ref[1]]
-            mine = _hello_blob(dims, n_points, cfg, fp,
-                               _ref_digest(X_int, y), hidden_ref)
-            if mine != blob:
-                raise ch.ChannelError("public-parameter mismatch")
-            channel.send(ch.MSG_HELLO, blob)
-        else:
-            channel.send(ch.MSG_HELLO, blob)
-            X_int = [None] * n_points
-            y = [None] * n_points
+        dims = json.loads(blob)["dims"]
+        if _hello_blob(dims, n_points, cfg, fp, digest) != blob:
+            raise ch.ChannelError("public-parameter mismatch")
+        channel.send(ch.MSG_HELLO, blob)
 
     circ = Circuit(sess, fp)
     table = fp.exp_table()
@@ -133,55 +99,31 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
             rows = [circ.witness_vec(n_in) for _ in range(n_out)]
             biases = circ.witness_vec(n_out)
         w_wires.append((rows, biases))
-    if prover and tamper and tamper.strategy == Tamper.SWAP_WEIGHTS:
-        # keep the commitment, but compute all later clears from a model
-        # whose first weight was nudged: the committed linear relations
-        # no longer hold and the batch check must catch it
-        rows0 = w_wires[0][0]
-        rows0[0][0].clear += 1 << (fp.f - 2)
     sess.batch_check()
 
     bins = (ZkArray(circ, cfg.bins), ZkArray(circ, cfg.bins),
             ZkArray(circ, cfg.bins))
     alpha_fx = alpha_to_fixed(cfg.alpha, fp)
 
-    for i in range(n_points):
-        x_i, y_i = X_int[i], y[i]
-        if prover and tamper and tamper.strategy == Tamper.SKIP_POINT \
-                and i == tamper.point:
-            x_i = X_int[(i + 1) % n_points]  # pretend a different point was used
-        if hidden_ref:
-            h = circ.witness_vec(list(x_i) if prover else dims[0])
-            y_wire = circ.witness(y_i)
-            x_pub = None
-        else:
-            h = None
-            y_wire = circ.public(y_i)
-            x_pub = x_i
+    for x_i, y_i in zip(X_int, y):
+        h = None
         for li, (rows, biases) in enumerate(w_wires):
             final = li == len(w_wires) - 1
-            h = circ.layer(rows, biases, h, x_public=x_pub if li == 0 else None,
+            h = circ.layer(rows, biases, h, x_public=x_i if li == 0 else None,
                            final=final)
-        logits = h
-        p_hat, y_hat = circ.confidence(logits, table)
-        if prover and tamper and tamper.strategy == Tamper.LIE_PHAT \
-                and i == tamper.point:
-            p_hat.clear += 1 << (fp.f - 3)  # claim noticeably higher confidence
-        eq = circ.equals(y_wire, y_hat)
+        p_hat, y_hat = circ.confidence(h, table)
+        eq = circ.equals(circ.public(y_i), y_hat)
         # bin index: floor(p_hat * B / 2^f), clamped to the last bin
         t_wire = circ.lin([cfg.bins], [p_hat])
         b_raw = circ.rescale(t_wire)
         in_range = circ.lt(b_raw, circ.public(cfg.bins))
         b_wire = circ.select(in_range, b_raw, circ.public(cfg.bins - 1))
-        if prover and tamper and tamper.strategy == Tamper.WRONG_BIN \
-                and i == tamper.point:
-            b_wire.clear = (b_wire.clear + 1) % cfg.bins
         zk_bin_update(circ, bins, b_wire, p_hat, eq)
         sess.batch_check()
 
     f_pass = zk_bin_check(circ, bins, alpha_fx)
     sess.batch_check()
-    bit = sess.reveal(f_pass.av)
+    bit = sess.reveal(f_pass)
     if bit not in (0, 1):
         raise AbortError("verdict wire is not a bit")
 
@@ -194,30 +136,23 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
 
 
 def run_local_audit(qm: QuantizedModel, ref, cfg: AuditConfig,
-                    fp: FixedPointParams, dealer_seed: int = 0,
-                    hidden_ref: bool = False,
-                    tamper: Tamper | None = None):
+                    fp: FixedPointParams, dealer_seed: int = 0):
     """Run both roles on in-process channels; returns (prover_result,
     verifier_result, verifier_channel) with AbortError mapped to an
     aborted AuditResult."""
     cp, cv = ch.local_pair()
     out = {}
 
-    def wrap(role, channel, model, ref_arg):
+    def wrap(role, channel, model):
         try:
-            out[role] = run_audit(role, channel, model, ref_arg, cfg, fp,
-                                  dealer_seed=dealer_seed, hidden_ref=hidden_ref,
-                                  tamper=tamper if role == PROVER else None)
-        except AbortError:
-            out[role] = AuditResult(None, True, 0, 0.0, 0.0, 0.0, 0)
-        except ch.ChannelError as e:
+            out[role] = run_audit(role, channel, model, ref, cfg, fp,
+                                  dealer_seed=dealer_seed)
+        except (AbortError, ch.ChannelError):
             # a peer that aborts mid-protocol looks like a dead channel too
             out[role] = AuditResult(None, True, 0, 0.0, 0.0, 0.0, 0)
-            out[f"{role}_err"] = e
 
-    v_ref = (None, None) if hidden_ref else ref
-    tp = threading.Thread(target=wrap, args=(PROVER, cp, qm, ref))
-    tv = threading.Thread(target=wrap, args=(VERIFIER, cv, None, v_ref))
+    tp = threading.Thread(target=wrap, args=(PROVER, cp, qm))
+    tv = threading.Thread(target=wrap, args=(VERIFIER, cv, None))
     tp.start()
     tv.start()
     tp.join()

@@ -20,9 +20,10 @@ from abstain_audit.mirage import (MirageConfig, RegressionAttackConfig,
 from abstain_audit.nets import (OptConfig, accuracy, gaussian_predict,
                                 init_gaussian_head, init_model, predict_probs)
 from abstain_audit.widgets import LogitShift, deepen, inject_region_shift
-from abstain_audit.zkaudit import (FixedPointParams, Tamper, fx_audit,
-                                   fx_confidence, fx_forward, quantize_model,
-                                   quantize_vec, run_local_audit)
+from abstain_audit.zkaudit import (FixedPointParams, fx_audit, fx_confidence,
+                                   fx_forward, quantize_model, quantize_vec,
+                                   run_local_audit)
+from cheating_prover import STRATEGIES, run_cheating_audit
 from conftest import ATTACK_OPT, PIPELINE_RUNTIME, UNDERSAMPLE_SEED
 
 FP = FixedPointParams()
@@ -138,18 +139,19 @@ def test_criterion_05_zk_completeness():
            f"single plaintext frame per transcript: {plain_frames_ok}")
 
 
-def test_criterion_06_zk_soundness():
+def test_criterion_06_zk_soundness(monkeypatch):
     qm = quantize_model(init_model([2, 3, 2], seed=0), FP)
     cfg = AuditConfig(bins=15, alpha=0.1)
     aborted = 0
     total = 0
-    for si, strategy in enumerate(Tamper.ALL):
+    for si, strategy in enumerate(STRATEGIES):
         for seed in range(250):
             rng = np.random.default_rng(si * 1000 + seed)
             X = rng.normal(0, 2, size=(2, 2))
             y = rng.integers(0, 2, size=2)
-            pr, vr, _ = run_local_audit(qm, (X, y), cfg, FP, dealer_seed=seed,
-                                        tamper=Tamper(strategy, point=seed % 2))
+            pr, vr, _ = run_cheating_audit(monkeypatch, strategy, seed % 2,
+                                           qm, (X, y), cfg, FP,
+                                           dealer_seed=seed)
             total += 1
             if pr.aborted and vr.aborted:
                 aborted += 1

@@ -9,7 +9,8 @@ from abstain_audit.itmac import (AbortError, Dealer, LocalChannel, Session,
                                  local_pair, P, PROVER, VERIFIER)
 from abstain_audit.itmac.field import (EXT_ZERO, eadd, emul, escale, esub,
                                        fadd, finv, fmul, fneg, from_field_signed,
-                                       fsub, rand_ext, to_field)
+                                       fsub, rand_ext, rand_field, to_field)
+from abstain_audit.itmac.session import _residues
 
 felems = st.integers(0, P - 1)
 
@@ -75,6 +76,40 @@ def test_dealer_triples_multiply():
             assert tag == eadd(key, escale(dealer.delta, x))
 
 
+class _ScriptedRandom(random.Random):
+    """getrandbits over a fixed stream of 32-bit words, filled the way the
+    Mersenne Twister fills it: low words first, the last word keeping only
+    its top bits."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = iter(words)
+
+    def getrandbits(self, k):
+        out, shift = 0, 0
+        while k > 0:
+            w = next(self.words)
+            out |= (w >> max(32 - k, 0)) << shift
+            shift, k = shift + 32, k - 32
+        return out
+
+
+def test_bulk_residues_match_rand_field():
+    # the dealer and the batch check draw residues in bulk; the draws must
+    # be the ones rand_field makes one at a time, leaving the same state
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        n = 1 + 37 * seed
+        assert _residues(a, n) == [rand_field(b) for _ in range(n)]
+        assert a.getrandbits(64) == b.getrandbits(64)
+    # two all-ones words give the candidate p itself, which is redrawn
+    top = 0xFFFFFFFF
+    words = [top, top, 5, 16, top, top, top, top, 1, 24, 3, 8]
+    a, b = _ScriptedRandom(words), _ScriptedRandom(words)
+    expected = [5 + (2 << 32), 1 + (3 << 32), 3 + (1 << 32)]
+    assert _residues(a, 3) == [rand_field(b) for _ in range(3)] == expected
+
+
 # -- sessions -------------------------------------------------------------------
 
 
@@ -100,17 +135,19 @@ def test_lin_combine_and_reveal():
     def prover(s):
         x, z = s.input_vec([2, 3])
         y = s.lin_combine([2, 1], [x, z], 7)
+        w = s.lin_combine([-3, 1], [x, z], -5)  # signed coefficients, const
         s.batch_check()
-        return s.reveal(y)
+        return s.reveal(y), s.reveal(w)
 
     def verifier(s):
         x, z = s.input_vec(2)
         y = s.lin_combine([2, 1], [x, z], 7)
+        w = s.lin_combine([-3, 1], [x, z], -5)
         s.batch_check()
-        return s.reveal(y)
+        return s.reveal(y), s.reveal(w)
 
     out = run_two_party(prover, verifier)
-    assert out[PROVER] == out[VERIFIER] == 14
+    assert out[PROVER] == out[VERIFIER] == (14, P - 8)
 
 
 def test_const_only_combination():
@@ -127,7 +164,7 @@ def test_const_only_combination():
 def test_multiply_small_and_fuzzed():
     rng = random.Random(9)
     pairs = [(rng.randrange(P), rng.randrange(P)) for _ in range(1000)]
-    pairs = [(2, 3), (5, 0)] + pairs
+    pairs = [(2, 3), (5, 0), (-2, 3), (4, -6), (-7, -(P // 2))] + pairs
 
     def body(s):
         if s.role == PROVER:
@@ -138,10 +175,10 @@ def test_multiply_small_and_fuzzed():
             ys = s.input_vec(len(pairs))
         zs = s.multiply_vec(xs, ys)
         s.batch_check()
-        return [s.reveal(z) for z in zs[:5]]
+        return [s.reveal(z) for z in zs[:8]]
 
     out = run_two_party(body, body)
-    expected = [fmul(a, b) for a, b in pairs[:5]]
+    expected = [fmul(a % P, b % P) for a, b in pairs[:8]]
     assert out[PROVER] == out[VERIFIER] == expected
 
 
@@ -202,7 +239,7 @@ def test_random_tag_forgeries_abort():
     def make_prover(forged_tag, forged_val):
         def prover(s):
             x = s.input_vec([2])[0]
-            x.value, x.tag = forged_val, forged_tag
+            x.value, x.mac = forged_val, forged_tag
             return s.reveal(x)
         return prover
 
