@@ -114,30 +114,36 @@ class Session:
     # -- preprocessing -----------------------------------------------------
 
     def _refill(self, n_auth: int, n_triple: int) -> None:
-        n_auth, n_triple = max(n_auth, _CHUNK), max(n_triple, _CHUNK)
+        """Fetch at least _CHUNK of each kind asked for; a request of 0
+        fetches none of that kind."""
+        n_auth, n_triple = (n and max(n, _CHUNK) for n in (n_auth, n_triple))
         if self.prover:
             self.ch.send(ch.MSG_NEED_DEALER, ch.pack_fields([n_auth, n_triple]))
-            self._auth_pool.extend(self._recv_dealer(ch.MSG_DEALER_AUTH))
-            w = self._recv_dealer(ch.MSG_DEALER_TRIPLE)
-            self._triple_pool.extend(zip(w[0::3], w[1::3], w[2::3]))
+            if n_auth:
+                self._auth_pool.extend(self._recv_dealer(ch.MSG_DEALER_AUTH))
+            if n_triple:
+                w = self._recv_dealer(ch.MSG_DEALER_TRIPLE)
+                self._triple_pool.extend(zip(w[0::3], w[1::3], w[2::3]))
         else:
             t, payload = self.ch.recv()
             self._expect(t, ch.MSG_NEED_DEALER)
             n_auth, n_triple = ch.unpack_fields(payload)
-            prover_part, keys = self.dealer.make_auth(n_auth)
-            flat = []
-            for r, tag in prover_part:
-                flat += [r, tag[0], tag[1]]
-            self.ch.send(ch.MSG_DEALER_AUTH, ch.pack_fields(flat))
-            self._auth_pool.extend(Wire(k) for k in keys)
-            prover_part, keys = self.dealer.make_triples(n_triple)
-            flat = []
-            for trip in prover_part:
-                for r, tag in trip:
+            if n_auth:
+                prover_part, keys = self.dealer.make_auth(n_auth)
+                flat = []
+                for r, tag in prover_part:
                     flat += [r, tag[0], tag[1]]
-            self.ch.send(ch.MSG_DEALER_TRIPLE, ch.pack_fields(flat))
-            self._triple_pool.extend((Wire(ka), Wire(kb), Wire(kc))
-                                     for ka, kb, kc in keys)
+                self.ch.send(ch.MSG_DEALER_AUTH, ch.pack_fields(flat))
+                self._auth_pool.extend(Wire(k) for k in keys)
+            if n_triple:
+                prover_part, keys = self.dealer.make_triples(n_triple)
+                flat = []
+                for trip in prover_part:
+                    for r, tag in trip:
+                        flat += [r, tag[0], tag[1]]
+                self.ch.send(ch.MSG_DEALER_TRIPLE, ch.pack_fields(flat))
+                self._triple_pool.extend((Wire(ka), Wire(kb), Wire(kc))
+                                         for ka, kb, kc in keys)
 
     def _recv_dealer(self, wanted: int) -> list[Wire]:
         """Prover side: one dealer frame of (r, tag) -> wires of value r."""

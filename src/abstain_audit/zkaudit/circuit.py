@@ -8,8 +8,23 @@ MACs turn each witness into boolean / range / recomposition claims that the
 batch MAC check enforces.  A cheating prover can feed in any witnesses it
 likes; it cannot make a false claim survive batch_check except with
 probability ~1/p^2.
+
+Two rules keep the claims meaning what fixedpoint.py computes:
+
+- Width rule.  `lt(x, y, nbits)` commits nbits + 1 bits and is exact when
+  -2^nbits < y - x <= 2^nbits.  Each caller passes the smallest width that
+  bounds already proven on x and y (range checks, public sizes, sums of
+  proven booleans) guarantee, and says where they are proven.  With every
+  operand bounded, no claim wraps mod p, so field equalities are integer
+  equalities.
+- Exact-integer rule.  A prover's wire value is the exact signed integer
+  fixedpoint.py has, never a residue that is only congruent to it: later
+  witnesses are derived from these values.  A quantity that is only known
+  mod p (w * w^-1, say) must not become a wire value; commit the intended
+  integer as a witness and prove the relation instead (see `is_zero`).
 """
 
+from ..itmac.field import P
 from ..itmac.session import Session, Wire
 from .fixedpoint import FixedPointParams, fx_exp_index
 
@@ -53,34 +68,56 @@ class Circuit:
     def range_check(self, w: Wire, nbits: int) -> None:
         self.decompose(w, nbits)
 
-    def lt(self, x: Wire, y: Wire) -> Wire:
-        """1 iff x < y, both signed within ell bits: the top bit of
-        y - x - 1 + 2^ell, proven by full decomposition."""
-        ell = self.fp.ell
-        v = self.lin([1, -1], [y, x], (1 << ell) - 1)
-        return self.decompose(v, ell + 1)[ell]
+    def divide(self, w: Wire, k: int, qbits: int,
+               q_offset: int = 0) -> tuple[Wire, list[Wire]]:
+        """floor(w / 2^k): witness q and r = w mod 2^k, check w = q*2^k + r
+        with r in k bits and q + q_offset in qbits bits.  Returns q and the
+        bits of q + q_offset."""
+        if self.prover:
+            qw, rw = self.witness_vec(list(divmod(w.value, 1 << k)))
+        else:
+            qw, rw = self.witness_vec(2)
+        self.range_check(rw, k)
+        bits = self.decompose(self.lin([1], [qw], q_offset), qbits)
+        self.assert_zero(self.lin([1 << k, 1, -1], [qw, rw, w]))
+        return qw, bits
+
+    def lt(self, x: Wire, y: Wire, nbits: int) -> Wire:
+        """1 iff x < y, for -2^nbits < y - x <= 2^nbits: the top bit of
+        y - x - 1 + 2^nbits, proven by an (nbits+1)-bit decomposition."""
+        v = self.lin([1, -1], [y, x], (1 << nbits) - 1)
+        return self.decompose(v, nbits + 1)[nbits]
+
+    def is_zero(self, w: Wire) -> Wire:
+        """1 iff w == 0 (|w| < p).  The prover commits e = [w == 0] and
+        inv = w^-1 mod p (0 when w == 0); w*inv = 1 - e and e*w = 0 pin e.
+        e is a witness rather than 1 - w*inv, whose integer value is only
+        congruent to 0 or 1."""
+        if self.prover:
+            e = int(w.value % P == 0)
+            e_w, inv = self.witness_vec([e, 0 if e else pow(w.value, -1, P)])
+        else:
+            e_w, inv = self.witness_vec(2)
+        w_inv, e_times_w = self.mul_vec([w, e_w], [inv, w])
+        self.assert_zero(self.lin([1, 1], [w_inv, e_w], -1))
+        self.assert_zero(e_times_w)
+        return e_w
 
     def select(self, b: Wire, x: Wire, y: Wire) -> Wire:
         """b*x + (1-b)*y for a proven boolean b."""
         return self.add(y, self.mul(b, self.sub(x, y)))
 
-    def relu(self, w: Wire) -> Wire:
-        neg = self.lt(w, self.public(0))
-        keep = self.lin([-1], [neg], 1)
-        return self.mul(w, keep)
+    def relu(self, q: Wire, nonneg: Wire) -> Wire:
+        """max(q, 0), given the proven bit nonneg = [q >= 0] from rescale."""
+        return self.mul(q, nonneg)
 
-    def rescale(self, w: Wire) -> Wire:
-        """Floor-divide by 2^f: witness quotient and remainder, check
-        w = q*2^f + r, r in [0, 2^f), q in signed ell-bit range."""
-        f, half = self.fp.f, 1 << (self.fp.ell - 1)
-        if self.prover:
-            qw, rw = self.witness_vec(list(divmod(w.value, self.fp.scale)))
-        else:
-            qw, rw = self.witness_vec(2)
-        self.range_check(rw, f)
-        self.decompose(self.lin([1], [qw], half), self.fp.ell)  # q + 2^{ell-1} >= 0
-        self.assert_zero(self.lin([1 << f, 1, -1], [qw, rw, w]))
-        return qw
+    def rescale(self, w: Wire) -> tuple[Wire, Wire]:
+        """(q, [q >= 0]) for q = floor(w / 2^f) in signed ell-bit range:
+        q + 2^{ell-1} is decomposed into ell bits, whose top bit is the
+        sign."""
+        ell = self.fp.ell
+        q, bits = self.divide(w, self.fp.f, ell, 1 << (ell - 1))
+        return q, bits[ell - 1]
 
     # -- model layers ----------------------------------------------------------
 
@@ -110,15 +147,16 @@ class Circuit:
         else:
             acc = self.linear_hidden(W_wires, b_wires, h)
         out = [self.rescale(z) for z in acc]
-        if not final:
-            out = [self.relu(z) for z in out]
-        return out
+        if final:
+            return [q for q, _ in out]
+        return [self.relu(q, nonneg) for q, nonneg in out]
 
     def argmax(self, logits) -> tuple[Wire, Wire]:
-        """(max, argmax) by tournament; strict lt keeps the lowest index."""
+        """(max, argmax) by tournament; strict lt keeps the lowest index.
+        Logits are rescale outputs, proven within signed ell bits."""
         best, idx = logits[0], self.public(0)
         for j in range(1, len(logits)):
-            b = self.lt(best, logits[j])
+            b = self.lt(best, logits[j], self.fp.ell)
             best = self.select(b, logits[j], best)
             idx = self.select(b, self.public(j), idx)
         return best, idx
@@ -167,40 +205,61 @@ class Circuit:
         fp = self.fp
         z_max, y_hat = self.argmax(logits)
         width = fp.scale >> (fp.table_bits - 4)
+        # 0 <= -d < 2^ell (argmax proves z_max >= z), so the slot index
+        # floor((-d + width/2) / width) fits qbits bits
+        qbits = (((1 << fp.ell) - 1 + width // 2) // width).bit_length()
         terms = []
         for z in logits:
-            neg_d = self.sub(z_max, z)  # -d >= 0
+            neg_d = self.sub(z_max, z)
             shifted = self.lin([1], [neg_d], width // 2)
-            # raw slot index: floor(shifted / width); width is a power of two
-            if self.prover:
-                qw, rw = self.witness_vec(list(divmod(shifted.value, width)))
-            else:
-                qw, rw = self.witness_vec(2)
-            self.range_check(rw, width.bit_length() - 1)
-            self.range_check(qw, fp.ell)
-            self.assert_zero(self.lin([width, 1, -1], [qw, rw, shifted]))
-            in_range = self.lt(qw, self.public(fp.table_size))
+            qw, bits = self.divide(shifted, width.bit_length() - 1, qbits)
+            # clamp to the last slot unless a high bit of the index is set
+            high = bits[fp.table_bits:]
+            in_range = self.is_zero(self.lin([1] * len(high), high))
             idx = self.select(in_range, qw, self.public(fp.table_size - 1))
             if self.prover:
                 assert idx.value == fx_exp_index(-neg_d.value, fp)
             terms.append(self.table_read(table, idx))
         S = self.lin([1] * len(terms), terms)
-        target = 1 << (2 * fp.f)
-        p_hat = self.witness((target + S.value // 2) // S.value
-                             if self.prover else None)
+        return self.reciprocal(S, len(terms) * max(table)), y_hat
+
+    def reciprocal(self, S: Wire, s_max: int) -> Wire:
+        """p_hat = floor((2^{2f} + floor(S/2)) / S) exactly, for a sum of
+        table entries 1 <= S <= s_max.  Witnesses h, s0, p_hat, rem with
+        S = 2h + s0 (s0 boolean), p_hat*S + rem = 2^{2f} + h, rem and
+        S - 1 - rem in k bits (so 0 <= rem < S), p_hat in f + 1 bits.  With
+        p_hat, rem and S bounded, p_hat*S + rem cannot wrap mod p, and
+        S = 2h + s0 then pins h to floor(S/2) over the integers, so h needs
+        no range check of its own."""
+        fp = self.fp
+        target, k = 1 << (2 * fp.f), s_max.bit_length()
+        if self.prover:
+            h, s0 = divmod(S.value, 2)
+            vals = [h, s0, *divmod(target + h, S.value)]
+            h, s0, p_hat, rem = self.witness_vec(vals)
+        else:
+            h, s0, p_hat, rem = self.witness_vec(4)
+        self.assert_bool_vec([s0])
+        self.assert_zero(self.lin([2, 1, -1], [h, s0, S]))
         self.range_check(p_hat, fp.f + 1)
+        self.range_check(rem, k)
+        self.range_check(self.lin([1, -1], [S, rem], -1), k)
         prod = self.mul(p_hat, S)
-        lo = self.public(target - fp.recip_tol)
-        hi = self.public(target + fp.recip_tol)
-        self.assert_zero(self.lt(prod, lo))
-        self.assert_zero(self.lt(hi, prod))
-        return p_hat, y_hat
+        self.assert_zero(self.lin([1, 1, -1], [prod, rem, h], -target))
+        return p_hat
 
     def equals(self, x: Wire, y: Wire) -> Wire:
-        """1 iff x == y, via two strict comparisons."""
-        a = self.lt(x, y)
-        b = self.lt(y, x)
-        return self.lin([-1, -1], [a, b], 1)
+        """1 iff x == y."""
+        return self.is_zero(self.sub(x, y))
+
+    def bin_index(self, p_hat: Wire, bins: int) -> Wire:
+        """min(floor(bins * p_hat / 2^f), bins - 1), mirroring fx_bin.
+        p_hat is range-checked to f + 1 bits, so the quotient is below
+        2 * bins and fits qbits bits."""
+        qbits = (2 * bins - 1).bit_length()
+        q, _ = self.divide(self.lin([bins], [p_hat]), self.fp.f, qbits)
+        in_range = self.lt(q, self.public(bins), qbits)
+        return self.select(in_range, q, self.public(bins - 1))
 
 
 class ZkArray:
@@ -230,10 +289,17 @@ def zk_bin_update(circuit: Circuit, arrays, b: Wire, p_hat: Wire,
     acc_arr.add_at(sel, circuit.lin([circuit.fp.scale], [eq]))
 
 
-def zk_bin_check(circuit: Circuit, arrays, alpha_fx: int) -> Wire:
+def zk_bin_check(circuit: Circuit, arrays, alpha_fx: int,
+                 n_points: int) -> Wire:
     """Per-bin |acc - conf| <= alpha * count over public bin indices, ANDed
     into the single pass flag."""
     count_arr, conf_arr, acc_arr = arrays
+    f1 = circuit.fp.f + 1
+    # over n_points points each bin sums booleans into count, eq * 2^f into
+    # acc and p_hat < 2^{f+1} into conf, so |acc - conf| < n * 2^{f+1} and
+    # |alpha * count| <= |alpha| * n
+    abs_bits = ((n_points << f1) - 1).bit_length()
+    cmp_bits = (n_points * ((1 << f1) + abs(alpha_fx))).bit_length()
     f_pass = circuit.public(1)
     for k in range(count_arr.size):
         diff = circuit.sub(acc_arr.entries[k], conf_arr.entries[k])
@@ -245,8 +311,8 @@ def zk_bin_check(circuit: Circuit, arrays, alpha_fx: int) -> Wire:
         # abs = diff * (2*sign - 1); the range check pins sign to the true one
         # (a flipped sign makes abs negative, which cannot decompose)
         abs_w = circuit.mul(diff, circuit.lin([2], [sign], -1))
-        circuit.range_check(abs_w, circuit.fp.ell)
+        circuit.range_check(abs_w, abs_bits)
         lhs = circuit.lin([alpha_fx], [count_arr.entries[k]])
-        f_bin = circuit.lin([-1], [circuit.lt(lhs, abs_w)], 1)
+        f_bin = circuit.lin([-1], [circuit.lt(lhs, abs_w, cmp_bits)], 1)
         f_pass = circuit.mul(f_pass, f_bin)
     return f_pass

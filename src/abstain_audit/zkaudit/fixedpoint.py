@@ -23,7 +23,6 @@ class FixedPointParams:
     f: int = 16           # fraction bits
     ell: int = 40         # signed value width for range/compare gadgets
     table_bits: int = 12  # exp table indexes over the domain [-16, 0]
-    recip_tol_ulp: int = 4
 
     @property
     def scale(self) -> int:
@@ -32,10 +31,6 @@ class FixedPointParams:
     @property
     def table_size(self) -> int:
         return 1 << self.table_bits
-
-    @property
-    def recip_tol(self) -> int:
-        return self.recip_tol_ulp << self.f
 
     def exp_table(self) -> list[int]:
         """T[k] = round(exp(-16k/2^table_bits) * 2^f), round-half-even."""

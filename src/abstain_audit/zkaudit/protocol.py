@@ -47,7 +47,7 @@ def _hello_blob(dims, n_points, cfg: AuditConfig, fp: FixedPointParams,
     return json.dumps({
         "dims": list(dims), "n": n_points, "bins": cfg.bins,
         "alpha_fx": alpha_to_fixed(cfg.alpha, fp), "f": fp.f, "ell": fp.ell,
-        "table_bits": fp.table_bits, "tol": fp.recip_tol_ulp, "ref": digest,
+        "table_bits": fp.table_bits, "ref": digest,
     }, sort_keys=True).encode()
 
 
@@ -83,6 +83,9 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
         if _hello_blob(dims, n_points, cfg, fp, digest) != blob:
             raise ch.ChannelError("public-parameter mismatch")
         channel.send(ch.MSG_HELLO, blob)
+    if any(len(row) != dims[0] for row in X_int):
+        raise ValueError(f"reference rows must have {dims[0]} features, "
+                         "as the model's input layer")
 
     circ = Circuit(sess, fp)
     table = fp.exp_table()
@@ -113,15 +116,10 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
                            final=final)
         p_hat, y_hat = circ.confidence(h, table)
         eq = circ.equals(circ.public(y_i), y_hat)
-        # bin index: floor(p_hat * B / 2^f), clamped to the last bin
-        t_wire = circ.lin([cfg.bins], [p_hat])
-        b_raw = circ.rescale(t_wire)
-        in_range = circ.lt(b_raw, circ.public(cfg.bins))
-        b_wire = circ.select(in_range, b_raw, circ.public(cfg.bins - 1))
-        zk_bin_update(circ, bins, b_wire, p_hat, eq)
+        zk_bin_update(circ, bins, circ.bin_index(p_hat, cfg.bins), p_hat, eq)
         sess.batch_check()
 
-    f_pass = zk_bin_check(circ, bins, alpha_fx)
+    f_pass = zk_bin_check(circ, bins, alpha_fx, n_points)
     sess.batch_check()
     bit = sess.reveal(f_pass)
     if bit not in (0, 1):
@@ -138,8 +136,9 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
 def run_local_audit(qm: QuantizedModel, ref, cfg: AuditConfig,
                     fp: FixedPointParams, dealer_seed: int = 0):
     """Run both roles on in-process channels; returns (prover_result,
-    verifier_result, verifier_channel) with AbortError mapped to an
-    aborted AuditResult."""
+    verifier_result, verifier_channel) with AbortError and ChannelError
+    mapped to an aborted AuditResult.  Any other error of a role is raised
+    here once both roles have ended."""
     cp, cv = ch.local_pair()
     out = {}
 
@@ -150,6 +149,9 @@ def run_local_audit(qm: QuantizedModel, ref, cfg: AuditConfig,
         except (AbortError, ch.ChannelError):
             # a peer that aborts mid-protocol looks like a dead channel too
             out[role] = AuditResult(None, True, 0, 0.0, 0.0, 0.0, 0)
+        except Exception as exc:
+            channel.send(ch.MSG_ABORT)  # so the peer stops waiting
+            out[role] = exc
 
     tp = threading.Thread(target=wrap, args=(PROVER, cp, qm))
     tv = threading.Thread(target=wrap, args=(VERIFIER, cv, None))
@@ -157,4 +159,7 @@ def run_local_audit(qm: QuantizedModel, ref, cfg: AuditConfig,
     tv.start()
     tp.join()
     tv.join()
+    for res in (out[PROVER], out[VERIFIER]):
+        if isinstance(res, Exception):
+            raise res
     return out[PROVER], out[VERIFIER], cv

@@ -1,7 +1,9 @@
 """A cheating prover for the soundness tests.
 
-Each strategy deviates from the honest witness computation while keeping
-every commitment.  The deviations live in a `Circuit` subclass plus a
+Most strategies change a wire's value behind its MAC.  PHAT_UP and
+PHAT_DOWN instead commit a p_hat one ulp off, with a remainder that keeps
+p_hat * S + rem unchanged, so only the remainder's range checks can catch
+them.  The deviations live in a `Circuit` subclass plus a
 wrapped `zk_bin_update`, swapped into `zkaudit.protocol` for one local
 audit, so the protocol body carries no adversary hooks.  On the verifier's
 side the subclass is the honest circuit.
@@ -17,6 +19,14 @@ SKIP_POINT = "skip-point"      # replace a point with another one
 SWAP_WEIGHTS = "swap-weights"  # compute values from a perturbed weight
 
 STRATEGIES = (LIE_PHAT, WRONG_BIN, SKIP_POINT, SWAP_WEIGHTS)
+
+# cheats aimed at the exact reciprocal and the fused ReLU, kept out of
+# STRATEGIES so the acceptance suite's soundness count stays fixed
+PHAT_UP = "phat-up"          # commit p_hat + 1 ulp, rem - S keeps p_hat*S + rem
+PHAT_DOWN = "phat-down"      # commit p_hat - 1 ulp, rem + S keeps p_hat*S + rem
+RELU_SIGN = "relu-sign"      # multiply by the flipped sign bit of rescale
+
+CIRCUIT_STRATEGIES = (PHAT_UP, PHAT_DOWN, RELU_SIGN)
 
 
 class CheatingCircuit(Circuit):
@@ -42,6 +52,24 @@ class CheatingCircuit(Circuit):
             # relations no longer hold and the batch check must catch it
             W_wires[0][0].value += 1 << (self.fp.f - 2)
         return super().linear_public_input(W_wires, b_wires, x_ints)
+
+    def relu(self, q, nonneg):
+        if self.cheats(RELU_SIGN):
+            nonneg.value ^= 1
+        return super().relu(q, nonneg)
+
+    def reciprocal(self, S, s_max):
+        if self.cheats(PHAT_UP) or self.cheats(PHAT_DOWN):
+            step = 1 if self.strategy == PHAT_UP else -1
+            honest = self.witness_vec
+
+            def shifted_witnesses(vals):  # the (h, s0, p_hat, rem) batch
+                self.witness_vec = honest
+                h, s0, p_hat, rem = vals
+                return honest([h, s0, p_hat + step, rem - step * S.value])
+
+            self.witness_vec = shifted_witnesses
+        return super().reciprocal(S, s_max)
 
     def confidence(self, logits, table):
         p_hat, y_hat = super().confidence(logits, table)

@@ -43,7 +43,7 @@ def test_fx_forward_identity_model():
 def test_fx_confidence_tie_break():
     p_hat, y_hat, _ = fx_confidence([0, 0], FP)
     assert y_hat == 0  # lowest index wins ties
-    assert abs(p_hat - 0.5 * FP.scale) <= FP.recip_tol_ulp
+    assert p_hat == FP.scale // 2
 
 
 def test_fx_bin_examples():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from abstain_audit.itmac import (AbortError, Dealer, LocalChannel, Session,
                                  local_pair, P, PROVER, VERIFIER)
+from abstain_audit.itmac.channel import MSG_DEALER_AUTH, MSG_DEALER_TRIPLE
 from abstain_audit.itmac.field import (EXT_ZERO, eadd, emul, escale, esub,
                                        fadd, finv, fmul, fneg, from_field_signed,
                                        fsub, rand_ext, rand_field, to_field)
@@ -199,6 +200,29 @@ def test_honest_zero_claims_pass():
 
     out = run_two_party(body, body)
     assert out[PROVER] is True and out[VERIFIER] is True
+
+
+def test_refill_fetches_only_the_short_pool():
+    seen = {}
+
+    def inputs_only(s):
+        s.input_vec([1, 2, 3] if s.role == PROVER else 3)
+        seen["inputs", s.role] = {f.msg_type for f in s.ch.transcript}
+        return s.batch_check()
+
+    def products_only(s):
+        s.multiply(s.public(2), s.public(3))
+        seen["products", s.role] = {f.msg_type for f in s.ch.transcript}
+        return s.batch_check()
+
+    for body in (inputs_only, products_only):
+        out = run_two_party(body, body)
+        assert out[PROVER] is True and out[VERIFIER] is True
+    for role in (PROVER, VERIFIER):
+        assert MSG_DEALER_AUTH in seen["inputs", role]
+        assert MSG_DEALER_TRIPLE not in seen["inputs", role]
+        assert MSG_DEALER_TRIPLE in seen["products", role]
+        assert MSG_DEALER_AUTH not in seen["products", role]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from abstain_audit.calibration import AuditConfig
-from abstain_audit.itmac import Dealer, Session, local_pair
+from abstain_audit.itmac import P, Dealer, Session, local_pair
 from abstain_audit.itmac.session import PROVER, VERIFIER
 from abstain_audit.nets import init_model
 from abstain_audit.zkaudit import (FixedPointParams, alpha_to_fixed, fx_audit,
-                                   fx_bin, quantize_model, run_local_audit)
+                                   fx_bin, fx_confidence, quantize_model,
+                                   run_local_audit)
 from abstain_audit.zkaudit.circuit import Circuit, ZkArray, zk_bin_update
-from cheating_prover import STRATEGIES, run_cheating_audit
+from cheating_prover import (CIRCUIT_STRATEGIES, STRATEGIES,
+                             run_cheating_audit)
 
 FP = FixedPointParams()
 
@@ -42,7 +44,14 @@ def test_verifier_transcript_single_plaintext_frame():
                                 "plaintext-value"}
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_reference_width_mismatch_raises():
+    qm, X, y, cfg = _random_instance(0)
+    X3 = np.hstack([X, X[:, :1]])  # 3 features against a [2, 4, 3] model
+    with pytest.raises(ValueError, match="2 features"):
+        run_local_audit(qm, (X3, y), cfg, FP)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES + CIRCUIT_STRATEGIES)
 def test_each_tamper_strategy_aborts(strategy, monkeypatch):
     qm, X, y, cfg = _random_instance(7)
     pr, vr, _ = run_cheating_audit(monkeypatch, strategy, 2, qm, (X, y), cfg,
@@ -67,25 +76,78 @@ def _two_party_circuit(prover_fn, verifier_fn, dealer_seed=0):
     return out
 
 
+def _witnesses(circ, values):
+    return circ.witness_vec(list(values) if circ.prover else len(values))
+
+
 def test_lt_gadget_matches_oracle():
     rng = np.random.default_rng(2)
     pairs = [(5, 9), (9, 5), (7, 7), (-3, 3), (3, -3)]
     pairs += [(int(a), int(b)) for a, b in
               rng.integers(-(2**30), 2**30, size=(20, 2))]
+    cases = [(a, b, FP.ell) for a, b in pairs]
+    cases += [(-(2**39), 2**39 - 1, FP.ell), (2**39 - 1, -(2**39), FP.ell)]
+    # narrowed widths at the edges of -2^n < y - x <= 2^n
+    for n in (0, 1, 5, 21):
+        for gap in sorted({2**n, 1, 0, -1, 1 - 2**n}):
+            if 1 - 2**n <= gap <= 2**n:
+                cases += [(3, 3 + gap, n), (-(2**n), gap - 2**n, n)]
 
     def body(circ, sess):
-        if circ.prover:
-            xs = [circ.witness(a) for a, _ in pairs]
-            ys = [circ.witness(b) for _, b in pairs]
-        else:
-            xs = [circ.witness(1) for _ in pairs]
-            ys = [circ.witness(1) for _ in pairs]
-        outs = [circ.lt(x, y) for x, y in zip(xs, ys)]
+        xs = _witnesses(circ, [a for a, _, _ in cases])
+        ys = _witnesses(circ, [b for _, b, _ in cases])
+        outs = [circ.lt(x, y, n) for x, y, (_, _, n) in zip(xs, ys, cases)]
         sess.batch_check()
         return [sess.reveal(o) for o in outs]
 
     out = _two_party_circuit(body, body)
-    expected = [int(a < b) for a, b in pairs]
+    expected = [int(a < b) for a, b, _ in cases]
+    assert out[PROVER] == out[VERIFIER] == expected
+
+
+def test_rescale_and_fused_relu_at_range_edges():
+    qs = [-(2**39), -1, 0, 1, 2**39 - 1]
+    ws = [q * FP.scale + r for q in qs for r in (0, FP.scale - 1)]
+
+    def body(circ, sess):
+        outs = []
+        for w in _witnesses(circ, ws):
+            q, nonneg = circ.rescale(w)
+            outs += [q, nonneg, circ.relu(q, nonneg)]
+        sess.batch_check()
+        return [sess.reveal(o) for o in outs]
+
+    out = _two_party_circuit(body, body)
+    expected = []
+    for w in ws:
+        q = w >> FP.f
+        expected += [q % P, int(q >= 0), max(q, 0)]
+    assert out[PROVER] == out[VERIFIER] == expected
+
+
+def test_confidence_matches_fx_confidence():
+    width = FP.scale >> (FP.table_bits - 4)  # logit gap per table slot
+    first_clamped = FP.table_size * width - width // 2
+    cases = [
+        [0, 0, 0],                          # three-way tie
+        [5, 5, -100_000],                   # tie for the top, lowest index wins
+        [70_000, -30_000, 12_345],
+        [0, -(first_clamped - 257), -(first_clamped - 256)],  # last slot edge
+        [0, -(first_clamped - 1), -first_clamped],  # first gap past the table
+        [2**39 - 1, -(2**39), 0],           # widest gap: the clamp's top bits
+    ]
+    table = FP.exp_table()
+
+    def body(circ, sess):
+        outs = []
+        for logits in cases:
+            p_hat, y_hat = circ.confidence(_witnesses(circ, logits), table)
+            outs.append((p_hat, y_hat))
+        sess.batch_check()
+        return [(sess.reveal(p), sess.reveal(y)) for p, y in outs]
+
+    out = _two_party_circuit(body, body)
+    expected = [fx_confidence(logits, FP, table)[:2] for logits in cases]
     assert out[PROVER] == out[VERIFIER] == expected
 
 
@@ -119,3 +181,16 @@ def test_bin_clamp_in_protocol_path():
     # p_hat = 1.0 exactly lands in the last bin, matching fx_bin's clamp
     assert fx_bin(FP.scale, 15, FP) == 14
     assert alpha_to_fixed(0.10, FP) == round(0.10 * FP.scale)
+    # the circuit's bin index over p_hat's proven range [0, 2^{f+1})
+    p_hats = [0, 1, FP.scale // 2, FP.scale - 1, FP.scale, 2 * FP.scale - 1]
+    cases = [(p, bins) for bins in (15, 16) for p in p_hats]
+
+    def body(circ, sess):
+        p_wires = _witnesses(circ, [p for p, _ in cases])
+        outs = [circ.bin_index(w, bins) for w, (_, bins) in zip(p_wires, cases)]
+        sess.batch_check()
+        return [sess.reveal(o) for o in outs]
+
+    out = _two_party_circuit(body, body)
+    expected = [fx_bin(p, bins, FP) for p, bins in cases]
+    assert out[PROVER] == out[VERIFIER] == expected
