@@ -11,6 +11,10 @@ import socket
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
+from .field import P
+
 _HEADER = struct.Struct("<BI")
 
 # message types
@@ -55,19 +59,34 @@ class FrameRecord:
         return DISCLOSURE[self.msg_type]
 
 
+class ChannelError(IOError):
+    """Transport failure (distinct from protocol ABORT)."""
+
+
 def pack_fields(values) -> bytes:
     """A sequence of ints in [0, 2^64) -> 8-byte little-endian words."""
     return struct.pack(f"<{len(values)}Q", *values)
 
 
-def unpack_fields(payload: bytes):
+def unpack_fields(payload: bytes) -> list[int]:
+    """8-byte little-endian words -> canonical field elements (< p)."""
     if len(payload) % 8:
-        raise ValueError("payload is not a whole number of field elements")
-    return list(struct.unpack(f"<{len(payload) // 8}Q", payload))
+        raise ChannelError("payload is not a whole number of field elements")
+    values = list(struct.unpack(f"<{len(payload) // 8}Q", payload))
+    if values and max(values) >= P:
+        raise ChannelError("non-canonical field element")
+    return values
 
 
-class ChannelError(IOError):
-    """Transport failure (distinct from protocol ABORT)."""
+def unpack_rows(payload: bytes, width: int) -> np.ndarray:
+    """A payload of field elements, `width` per row -> a read-only
+    (rows, width) uint64 array, decoded in place."""
+    if len(payload) % (8 * width):
+        raise ChannelError(f"payload is not a whole number of {width}-element rows")
+    rows = np.frombuffer(payload, dtype="<u8").reshape(-1, width)
+    if (rows >= P).any():
+        raise ChannelError("non-canonical field element")
+    return rows
 
 
 class _RecordingChannel:
@@ -122,8 +141,14 @@ def local_pair(timeout: float = 120.0):
 
 
 class TcpChannel(_RecordingChannel):
+    """One endpoint of a TCP connection.  Nagle's algorithm is off
+    (TCP_NODELAY): the audit is a long exchange of small frames, each
+    written with one sendall, and holding one back until the peer ACKs the
+    last would stall both roles."""
+
     def __init__(self, sock: socket.socket):
         super().__init__()
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
 
     @classmethod

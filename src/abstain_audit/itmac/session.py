@@ -49,49 +49,106 @@ class Wire:
         self.value = value
 
 
-def _residues(rng, n: int) -> list[int]:
-    """n uniform residues mod p, the same stream as n calls of
+def _residue_array(rng, n: int) -> np.ndarray:
+    """n uniform residues mod p as uint64, the same stream as n calls of
     rand_field(rng) made in one go.  Each call is getrandbits(61): two
     consecutive 32-bit generator words w0, w1 give w0 | (w1 >> 3) << 32,
     redrawn from the next two words while >= p."""
-    out = []
-    while len(out) < n:
-        m = n - len(out)
+    parts, got = [np.zeros(0, np.uint64)], 0
+    while got < n:
+        m = n - got
         w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"),
                           dtype="<u4").astype(np.uint64)
-        cand = w[0::2] | ((w[1::2] >> np.uint64(3)) << np.uint64(32))
-        out += cand[cand < P].tolist()
-    return out
+        cand = w[0::2] | ((w[1::2] >> 3) << 32)
+        parts.append(cand[cand < P])
+        got += len(parts[-1])
+    return np.concatenate(parts)
+
+
+def _residues(rng, n: int) -> list[int]:
+    """_residue_array as Python ints."""
+    return _residue_array(rng, n).tolist()
+
+
+def _reduce(x: np.ndarray) -> np.ndarray:
+    """x mod p for uint64 x, folding with 2^61 = 1 (mod p)."""
+    x = (x & P) + (x >> 61)
+    return np.where(x >= P, x - P, x)
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b mod p for uint64 residues a, b < p, from 32-bit halves: with
+    a = a1*2^32 + a0, a*b = a1*b1*2^64 + (a1*b0 + a0*b1)*2^32 + a0*b0, and
+    2^64 = 8, 2^61 = 1 (mod p).  Every partial sum stays below 2^63."""
+    a0, a1 = a & 0xFFFFFFFF, a >> 32
+    b0, b1 = b & 0xFFFFFFFF, b >> 32
+    mid = a1 * b0 + a0 * b1                  # < 2^62
+    lo = a0 * b0                             # < 2^64
+    x = (a1 * b1) << 3                       # 8 * a1*b1 < 2^61
+    x += (mid >> 29) + ((mid & 0x1FFFFFFF) << 32)  # mid * 2^32
+    x += (lo & P) + (lo >> 61)
+    return _reduce(x)
 
 
 class Dealer:
-    """Seeded source of authenticated randoms and Beaver triples."""
+    """Seeded source of authenticated randoms and Beaver triples.  Both
+    come as uint64 row arrays: the prover's rows hold [x, tag_re, tag_im]
+    per value, the verifier's [key_re, key_im]."""
 
     def __init__(self, seed: int):
         self.rng = random.Random(f"dealer:{seed}")
         self.delta = rand_ext(self.rng)
 
-    def _auth(self, xs, keys_re, keys_im):
-        """(x, tag) pairs and keys for values xs under the given keys."""
-        d_re, d_im = self.delta
-        keys = list(zip(keys_re, keys_im))
-        tags = [((k_re + d_re * x) % P, (k_im + d_im * x) % P)
-                for x, (k_re, k_im) in zip(xs, keys)]
-        return list(zip(xs, tags)), keys
+    def _authenticate(self, x: np.ndarray, keys: np.ndarray):
+        """x (n, m) values, keys (n, m, 2) -> prover rows (n, 3m) and key
+        rows (n, 2m), with tags k + Delta*x."""
+        tags = _reduce(keys + _mul_mod(x[..., None],
+                                       np.array(self.delta, np.uint64)))
+        n = len(x)
+        return (np.concatenate([x[..., None], tags], axis=2).reshape(n, -1),
+                keys.reshape(n, -1))
 
     def make_auth(self, n: int):
         # per item the stream holds r, then its key
-        s = _residues(self.rng, 3 * n)
-        return self._auth(s[0::3], s[1::3], s[2::3])
+        s = _residue_array(self.rng, 3 * n).reshape(n, 3)
+        return self._authenticate(s[:, :1], s[:, 1:].reshape(n, 1, 2))
 
     def make_triples(self, n: int):
         # per triple the stream holds a, b, then the keys of a, b and c
-        s = _residues(self.rng, 8 * n)
-        a, b = s[0::8], s[1::8]
-        pa, ka = self._auth(a, s[2::8], s[3::8])
-        pb, kb = self._auth(b, s[4::8], s[5::8])
-        pc, kc = self._auth([x * y % P for x, y in zip(a, b)], s[6::8], s[7::8])
-        return list(zip(pa, pb, pc)), list(zip(ka, kb, kc))
+        s = _residue_array(self.rng, 8 * n).reshape(n, 8)
+        a, b = s[:, 0], s[:, 1]
+        x = np.stack([a, b, _mul_mod(a, b)], axis=1)
+        return self._authenticate(x, s[:, 2:].reshape(n, 3, 2))
+
+
+class _Pool:
+    """Unconsumed preprocessing rows, kept in the arrays they arrived in;
+    len() is the number of rows not yet taken."""
+
+    def __init__(self):
+        self._blocks = deque()
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def extend(self, rows: np.ndarray) -> None:
+        self._blocks.append(rows)
+        self._len += len(rows)
+
+    def take(self, n: int) -> list[np.ndarray]:
+        """The next n rows (n <= len(self)), as row blocks in order."""
+        out = []
+        while n:
+            block = self._blocks[0]
+            out.append(block[:n])
+            if n >= len(block):
+                self._blocks.popleft()
+            else:
+                self._blocks[0] = block[n:]
+            n -= len(out[-1])
+            self._len -= len(out[-1])
+        return out
 
 
 class Session:
@@ -106,8 +163,8 @@ class Session:
         self.dealer = dealer
         self.delta = dealer.delta if dealer else None
         self._one = EXT_ZERO if self.prover else escale(self.delta, -1)
-        self._auth_pool = deque()    # Wires of dealer randoms
-        self._triple_pool = deque()  # (a, b, c) Wire triples
+        self._auth_pool = _Pool()    # dealer randoms, one per row
+        self._triple_pool = _Pool()  # Beaver triples, one per row
         self._pending = []  # MACs of wires claimed to be zero
         self.n_multiplies = 0
 
@@ -120,48 +177,55 @@ class Session:
         if self.prover:
             self.ch.send(ch.MSG_NEED_DEALER, ch.pack_fields([n_auth, n_triple]))
             if n_auth:
-                self._auth_pool.extend(self._recv_dealer(ch.MSG_DEALER_AUTH))
+                self._auth_pool.extend(
+                    self._recv_dealer(ch.MSG_DEALER_AUTH, n_auth, 3))
             if n_triple:
-                w = self._recv_dealer(ch.MSG_DEALER_TRIPLE)
-                self._triple_pool.extend(zip(w[0::3], w[1::3], w[2::3]))
+                self._triple_pool.extend(
+                    self._recv_dealer(ch.MSG_DEALER_TRIPLE, n_triple, 9))
         else:
             t, payload = self.ch.recv()
             self._expect(t, ch.MSG_NEED_DEALER)
             n_auth, n_triple = ch.unpack_fields(payload)
             if n_auth:
-                prover_part, keys = self.dealer.make_auth(n_auth)
-                flat = []
-                for r, tag in prover_part:
-                    flat += [r, tag[0], tag[1]]
-                self.ch.send(ch.MSG_DEALER_AUTH, ch.pack_fields(flat))
-                self._auth_pool.extend(Wire(k) for k in keys)
+                rows, keys = self.dealer.make_auth(n_auth)
+                self.ch.send(ch.MSG_DEALER_AUTH, rows.astype("<u8").tobytes())
+                self._auth_pool.extend(keys)
             if n_triple:
-                prover_part, keys = self.dealer.make_triples(n_triple)
-                flat = []
-                for trip in prover_part:
-                    for r, tag in trip:
-                        flat += [r, tag[0], tag[1]]
-                self.ch.send(ch.MSG_DEALER_TRIPLE, ch.pack_fields(flat))
-                self._triple_pool.extend((Wire(ka), Wire(kb), Wire(kc))
-                                         for ka, kb, kc in keys)
+                rows, keys = self.dealer.make_triples(n_triple)
+                self.ch.send(ch.MSG_DEALER_TRIPLE, rows.astype("<u8").tobytes())
+                self._triple_pool.extend(keys)
 
-    def _recv_dealer(self, wanted: int) -> list[Wire]:
-        """Prover side: one dealer frame of (r, tag) -> wires of value r."""
+    def _recv_dealer(self, wanted: int, n: int, width: int) -> np.ndarray:
+        """Prover side: one dealer frame of n rows -> a uint64 array; rows
+        become Wires only when taken."""
         t, payload = self.ch.recv()
         self._expect(t, wanted)
-        flat = ch.unpack_fields(payload)
-        return [Wire((flat[i + 1], flat[i + 2]), flat[i])
-                for i in range(0, len(flat), 3)]
+        rows = ch.unpack_rows(payload, width)
+        if len(rows) != n:
+            raise ch.ChannelError("dealer batch size mismatch")
+        return rows
 
-    def _take_auth(self, n: int):
+    def _wires(self, blocks, m: int) -> list[list[Wire]]:
+        """Preprocessing rows of m values each -> m lists of Wires."""
+        out = [[] for _ in range(m)]
+        for rows in blocks:
+            c = rows.T.tolist()
+            for j, wires in enumerate(out):
+                if self.prover:  # [x, tag_re, tag_im] per value
+                    wires += map(Wire, zip(c[3 * j + 1], c[3 * j + 2]), c[3 * j])
+                else:  # [key_re, key_im] per value
+                    wires += map(Wire, zip(c[2 * j], c[2 * j + 1]))
+        return out
+
+    def _take_auth(self, n: int) -> list[Wire]:
         if len(self._auth_pool) < n:
             self._refill(n - len(self._auth_pool), 0)
-        return [self._auth_pool.popleft() for _ in range(n)]
+        return self._wires(self._auth_pool.take(n), 1)[0]
 
     def _take_triples(self, n: int):
         if len(self._triple_pool) < n:
             self._refill(0, n - len(self._triple_pool))
-        return [self._triple_pool.popleft() for _ in range(n)]
+        return list(zip(*self._wires(self._triple_pool.take(n), 3)))
 
     @staticmethod
     def _expect(msg_type: int, wanted: int) -> None:

@@ -103,8 +103,9 @@ def fx_forward(qm: QuantizedModel, x_int, fp: FixedPointParams) -> list[int]:
         for row, bias in zip(W, b):
             acc = sum(w * v for w, v in zip(row, h)) + (bias << fp.f)
             z = acc // fp.scale
-            if abs(z) >= limit:
-                raise OverflowError("activation exceeds the range budget")
+            if not -limit <= z < limit:  # the range Circuit.rescale proves
+                raise ValueError(f"activation {z} exceeds {fp.ell - 1} bits "
+                                 f"at scale 2^{fp.f}")
             if li < len(qm.layers) - 1:
                 z = max(z, 0)
             out.append(z)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from abstain_audit.calibration import AuditConfig, bin_index, reliability, audit_verdict
 from abstain_audit.nets import ModelParams, forward, init_model, predict_probs
-from abstain_audit.zkaudit import (FixedPointParams, alpha_to_fixed,
+from abstain_audit.zkaudit import (FixedPointParams, QuantizedModel,
+                                   alpha_to_fixed,
                                    dequantize_model, fx_argmax, fx_audit,
                                    fx_bin, fx_confidence, fx_forward,
                                    quantize_model, quantize_value,
@@ -38,6 +39,19 @@ def test_fx_forward_identity_model():
     assert logits == [FP.scale, 0]
     _, y_hat, _ = fx_confidence(logits, FP)
     assert y_hat == 0
+
+
+def test_fx_forward_range_is_the_proven_one():
+    # Circuit.rescale proves q in [-2^(ell-1), 2^(ell-1)); the oracle
+    # accepts exactly that range and raises ValueError (CLI exit 5) outside
+    W, b = ((FP.scale,),), (0,)  # y = x
+    qm = QuantizedModel(((W, b),), FP)
+    lo = -FP.limit()
+    assert fx_forward(qm, [lo], FP) == [lo]
+    assert fx_forward(qm, [-lo - 1], FP) == [-lo - 1]
+    for x in (lo - 1, -lo):
+        with pytest.raises(ValueError, match="exceeds"):
+            fx_forward(qm, [x], FP)
 
 
 def test_fx_confidence_tie_break():

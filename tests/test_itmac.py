@@ -1,17 +1,23 @@
 import random
+import socket
 import threading
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abstain_audit.itmac import (AbortError, Dealer, LocalChannel, Session,
                                  local_pair, P, PROVER, VERIFIER)
-from abstain_audit.itmac.channel import MSG_DEALER_AUTH, MSG_DEALER_TRIPLE
+from abstain_audit.itmac.channel import (MSG_DEALER_AUTH, MSG_DEALER_TRIPLE,
+                                         MSG_INPUT_DELTA, ChannelError,
+                                         TcpChannel, pack_fields, unpack_fields,
+                                         unpack_rows)
 from abstain_audit.itmac.field import (EXT_ZERO, eadd, emul, escale, esub,
                                        fadd, finv, fmul, fneg, from_field_signed,
                                        fsub, rand_ext, rand_field, to_field)
-from abstain_audit.itmac.session import _residues
+from abstain_audit.itmac.session import _mul_mod, _residues
 
 felems = st.integers(0, P - 1)
 
@@ -63,18 +69,30 @@ def test_mac_relation_hand_example():
 def test_mac_relation_fuzzed():
     dealer = Dealer(seed=0)
     prover_part, keys = dealer.make_auth(10_000)
-    for (x, tag), key in zip(prover_part, keys):
-        assert tag == eadd(key, escale(dealer.delta, x))
+    assert prover_part.shape == (10_000, 3) and keys.shape == (10_000, 2)
+    for (x, *tag), key in zip(prover_part.tolist(), keys.tolist()):
+        assert tuple(tag) == eadd(key, escale(dealer.delta, x))
 
 
 def test_dealer_triples_multiply():
     dealer = Dealer(seed=1)
     prover_part, keys = dealer.make_triples(200)
-    for (a, ta), (b, tb), (c, tc) in prover_part:
+    assert prover_part.shape == (200, 9) and keys.shape == (200, 6)
+    for row, key_row in zip(prover_part.tolist(), keys.tolist()):
+        a, b, c = row[0::3]
         assert c == fmul(a, b)
-    for trip_p, trip_k in zip(prover_part, keys):
-        for (x, tag), key in zip(trip_p, trip_k):
-            assert tag == eadd(key, escale(dealer.delta, x))
+        for j in range(3):
+            tag, key = row[3 * j + 1:3 * j + 3], key_row[2 * j:2 * j + 2]
+            assert tuple(tag) == eadd(key, escale(dealer.delta, row[3 * j]))
+
+
+def test_numpy_mul_mod_matches_ints():
+    edges = [0, 1, 2**32 - 1, 2**32, P - 2, P - 1]
+    pairs = [(a, b) for a in edges for b in edges]
+    rng = random.Random(4)
+    pairs += [(rng.randrange(P), rng.randrange(P)) for _ in range(20_000)]
+    a, b = (np.array(col, dtype=np.uint64) for col in zip(*pairs))
+    assert _mul_mod(a, b).tolist() == [x * y % P for x, y in pairs]
 
 
 class _ScriptedRandom(random.Random):
@@ -225,6 +243,34 @@ def test_refill_fetches_only_the_short_pool():
         assert MSG_DEALER_AUTH not in seen["products", role]
 
 
+def test_pools_count_unconsumed_rows_across_frames():
+    # take 3, then 8190 (crossing into a second dealer frame), then 8192
+    # (a third): len() of each pool stays the number of rows not yet taken
+    steps = (3, 8190, 8192)
+
+    def body(s):
+        taken, lens = [], []
+        for n in steps:
+            taken += s._take_auth(n)
+            taken += [w for trip in s._take_triples(n) for w in trip]
+            lens.append((len(s._auth_pool), len(s._triple_pool)))
+        frames = [f.msg_type for f in s.ch.transcript]
+        return (taken, lens, frames.count(MSG_DEALER_AUTH),
+                frames.count(MSG_DEALER_TRIPLE), s.delta)
+
+    out = run_two_party(body, body)
+    p_wires, p_lens, p_auth, p_trip, _ = out[PROVER]
+    v_wires, v_lens, v_auth, v_trip, delta = out[VERIFIER]
+    assert p_lens == v_lens == [(8189, 8189), (8191, 8191), (8191, 8191)]
+    assert p_auth == v_auth == p_trip == v_trip == 3
+    # the roles took the same rows in the same order: tag = key + Delta*x
+    assert len(p_wires) == len(v_wires) == 4 * sum(steps)
+    for p, v in zip(p_wires, v_wires):
+        assert p.mac == eadd(v.mac, escale(delta, p.value))
+    a, b, c = (w.value for w in p_wires[3:6])
+    assert c == fmul(a, b)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_tampered_zero_claim_aborts(seed):
     def prover(s):
@@ -284,3 +330,56 @@ def test_local_channel_round_trip():
     t, payload = b.recv()
     assert (t, payload) == (1, b"hello")
     assert a.bytes_sent == b.bytes_received > 0
+
+
+def test_unpack_rejects_non_canonical_words():
+    assert unpack_fields(pack_fields([0, P - 1])) == [0, P - 1]
+    with pytest.raises(ChannelError, match="non-canonical"):
+        unpack_fields(pack_fields([0, P, 1]))
+    rows = pack_fields([1, 2, 3, 4, 5, P - 1])
+    assert unpack_rows(rows, 3).tolist() == [[1, 2, 3], [4, 5, P - 1]]
+    with pytest.raises(ChannelError, match="non-canonical"):
+        unpack_rows(pack_fields([1, 2, 3, 4, P, 6]), 3)
+    with pytest.raises(ChannelError, match="3-element rows"):
+        unpack_rows(pack_fields([1, 2, 3, 4]), 3)
+
+
+def test_short_dealer_frame_rejected():
+    cp, cv = local_pair()
+    cv.send(MSG_DEALER_AUTH, pack_fields([1, 2, 3]))  # one row; 8192 are asked
+    with pytest.raises(ChannelError, match="dealer batch size"):
+        Session(PROVER, cp).input_vec([5])
+
+
+def test_tcp_channel_sets_nodelay_and_round_trips():
+    with socket.socket() as probe:  # a port the kernel reports free
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    accepted = {}
+    server = threading.Thread(target=lambda: accepted.update(
+        ch=TcpChannel.listen_accept("127.0.0.1", port, timeout=10.0)))
+    server.start()
+    deadline = time.monotonic() + 10.0
+    while True:
+        try:
+            client = TcpChannel.connect("127.0.0.1", port, timeout=1.0)
+            break
+        except ChannelError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
+    server.join()
+    srv = accepted["ch"]
+    try:
+        for end in (client, srv):
+            assert end._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        values = [0, 1, 2**32, P - 1]
+        client.send(MSG_INPUT_DELTA, pack_fields(values))
+        assert srv.recv() == (MSG_INPUT_DELTA, pack_fields(values))
+        srv.send(MSG_INPUT_DELTA, pack_fields(values[::-1]))
+        t, payload = client.recv()
+        assert (t, unpack_fields(payload)) == (MSG_INPUT_DELTA, values[::-1])
+        assert client.bytes_sent == srv.bytes_received == 5 + 8 * len(values)
+    finally:
+        client.close()
+        srv.close()

@@ -1,10 +1,11 @@
+import hashlib
 import threading
 
 import numpy as np
 import pytest
 
 from abstain_audit.calibration import AuditConfig
-from abstain_audit.itmac import P, Dealer, Session, local_pair
+from abstain_audit.itmac import P, Dealer, LocalChannel, Session, local_pair
 from abstain_audit.itmac.session import PROVER, VERIFIER
 from abstain_audit.nets import init_model
 from abstain_audit.zkaudit import (FixedPointParams, alpha_to_fixed, fx_audit,
@@ -33,6 +34,32 @@ def test_completeness_matches_plaintext_oracle():
         pr, vr, _ = run_local_audit(qm, (X, y), cfg, FP, dealer_seed=seed)
         assert not pr.aborted and not vr.aborted
         assert pr.verdict == vr.verdict == ok
+
+
+# SHA-256 over every frame (header and payload) of the seeded audit below,
+# the prover's frames in order, then the verifier's
+GOLDEN_TRANSCRIPT = \
+    "55bbca0822d8cd349b6c9f0c631e7231724e2c98bfeae383ff5b172aa9133793"
+
+
+def test_golden_transcript(monkeypatch):
+    sent = {}
+    send_raw = LocalChannel._send_raw
+
+    def record(chan, data):
+        sent.setdefault(chan, []).append(data)
+        send_raw(chan, data)
+
+    monkeypatch.setattr(LocalChannel, "_send_raw", record)
+    qm, X, y, cfg = _random_instance(0, dims=(2, 32, 3), n=4)
+    pr, vr, cv = run_local_audit(qm, (X, y), cfg, FP, dealer_seed=5)
+    assert pr.verdict == vr.verdict == fx_audit(qm, X, y, cfg, FP)[0]
+    (cp,) = set(sent) - {cv}
+    h = hashlib.sha256()
+    for frame in sent[cp] + sent[cv]:
+        h.update(frame)
+    assert (len(sent[cp]), len(sent[cv])) == (1292, 16)
+    assert h.hexdigest() == GOLDEN_TRANSCRIPT
 
 
 def test_verifier_transcript_single_plaintext_frame():
