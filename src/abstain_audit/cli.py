@@ -364,6 +364,8 @@ def build_parser() -> _Parser:
     p.add_argument("--var-target", type=float, default=1.0)
     p.add_argument("--lam", type=float, default=1.0)
     _add_opt_flags(p, epochs=400)
+    # momentum 0.9 diverges and lr 0.1 leaves every trunk ReLU dead
+    p.set_defaults(lr=0.02, momentum=0.0)
 
     def audit_flags(p, need_region):
         p.add_argument("--model", required=True)

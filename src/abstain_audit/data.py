@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +18,6 @@ class ColumnSpec:
     name: str
     kind: str  # "continuous" | "categorical"
     categories: tuple = ()  # category labels, index = integer code
-
-    @property
-    def embedding_dim(self) -> int:
-        if self.kind != "categorical":
-            return 0
-        return min(50, math.ceil((len(self.categories) + 1) / 2))
 
 
 @dataclass

@@ -196,8 +196,8 @@ class Session:
                 self._triple_pool.extend(keys)
 
     def _recv_dealer(self, wanted: int, n: int, width: int) -> np.ndarray:
-        """Prover side: one dealer frame of n rows -> a uint64 array; rows
-        become Wires only when taken."""
+        """Prover side: one dealer frame of n rows -> a uint64 array, kept
+        as such until taken."""
         t, payload = self.ch.recv()
         self._expect(t, wanted)
         rows = ch.unpack_rows(payload, width)
@@ -205,27 +205,30 @@ class Session:
             raise ch.ChannelError("dealer batch size mismatch")
         return rows
 
-    def _wires(self, blocks, m: int) -> list[list[Wire]]:
-        """Preprocessing rows of m values each -> m lists of Wires."""
-        out = [[] for _ in range(m)]
-        for rows in blocks:
-            c = rows.T.tolist()
-            for j, wires in enumerate(out):
-                if self.prover:  # [x, tag_re, tag_im] per value
-                    wires += map(Wire, zip(c[3 * j + 1], c[3 * j + 2]), c[3 * j])
-                else:  # [key_re, key_im] per value
-                    wires += map(Wire, zip(c[2 * j], c[2 * j + 1]))
-        return out
+    def _take(self, pool: _Pool, n: int, m: int):
+        """The next n rows of m values each, as columns: (values, macs), with
+        values[j] the prover's column of value j (None on the verifier) and
+        macs[2j], macs[2j+1] its MAC halves."""
+        blocks = pool.take(n)
+        cols = (np.concatenate(blocks).T.tolist() if blocks
+                else [[] for _ in range(3 * m if self.prover else 2 * m)])
+        if not self.prover:  # [key_re, key_im] per value
+            return None, cols
+        # [x, tag_re, tag_im] per value
+        return cols[0::3], [c for i, c in enumerate(cols) if i % 3]
 
-    def _take_auth(self, n: int) -> list[Wire]:
+    def _take_auth(self, n: int):
+        """n dealer randoms r as columns ([r], [mac_re, mac_im])."""
         if len(self._auth_pool) < n:
             self._refill(n - len(self._auth_pool), 0)
-        return self._wires(self._auth_pool.take(n), 1)[0]
+        return self._take(self._auth_pool, n, 1)
 
     def _take_triples(self, n: int):
+        """n Beaver triples (a, b, c = ab) as columns ([a, b, c], the six
+        MAC halves of a, b, c)."""
         if len(self._triple_pool) < n:
             self._refill(0, n - len(self._triple_pool))
-        return list(zip(*self._wires(self._triple_pool.take(n), 3)))
+        return self._take(self._triple_pool, n, 3)
 
     @staticmethod
     def _expect(msg_type: int, wanted: int) -> None:
@@ -244,9 +247,9 @@ class Session:
         """Prover feeds hidden values in; verifier passes the expected count.
         Each wire is a dealer random r plus the public delta x - r."""
         n = xs if isinstance(xs, int) else len(xs)
-        randoms = self._take_auth(n)
+        values, (m0, m1) = self._take_auth(n)
         if self.prover:
-            deltas = [(x - r.value) % P for x, r in zip(xs, randoms)]
+            deltas = [(x - r) % P for x, r in zip(xs, values[0])]
             self.ch.send(ch.MSG_INPUT_DELTA, ch.pack_fields(deltas))
         else:
             t, payload = self.ch.recv()
@@ -255,9 +258,9 @@ class Session:
             if len(deltas) != n:
                 raise ch.ChannelError("input batch size mismatch")
             xs = [None] * n
-        one = self._one
-        return [Wire(eadd(r.mac, escale(one, d)), x)
-                for x, r, d in zip(xs, randoms, deltas)]
+        one_re, one_im = self._one
+        return [Wire(((r0 + d * one_re) % P, (r1 + d * one_im) % P), x)
+                for x, r0, r1, d in zip(xs, m0, m1, deltas)]
 
     def lin_combine(self, coeffs, wires, const: int = 0) -> Wire:
         """const + sum(c * w) for public (signed) coefficients."""
@@ -285,13 +288,13 @@ class Session:
         n = len(xs)
         if len(ys) != n:
             raise ValueError("batch length mismatch")
-        triples = self._take_triples(n)
+        values, macs = self._take_triples(n)
         self.n_multiplies += n
         if self.prover:
             opens = []
-            for x, y, (a, b, _) in zip(xs, ys, triples):
-                opens.append((x.value - a.value) % P)
-                opens.append((y.value - b.value) % P)
+            for x, y, a, b in zip(xs, ys, values[0], values[1]):
+                opens.append((x.value - a) % P)
+                opens.append((y.value - b) % P)
             self.ch.send(ch.MSG_OPEN_MASKED, ch.pack_fields(opens))
         else:
             t, payload = self.ch.recv()
@@ -301,10 +304,9 @@ class Session:
                 raise ch.ChannelError("opening batch size mismatch")
         one_re, one_im = self._one
         out, pending = [], self._pending
-        for i, (x, y, (a, b, c)) in enumerate(zip(xs, ys, triples)):
+        for i, (x, y, a0, a1, b0, b1, c0, c1) in enumerate(zip(xs, ys, *macs)):
             d, e = opens[2 * i], opens[2 * i + 1]
             (x0, x1), (y0, y1) = x.mac, y.mac
-            (a0, a1), (b0, b1), (c0, c1) = a.mac, b.mac, c.mac
             de = d * e % P
             # z = c + d*b + e*a + d*e
             mac = ((c0 + d * b0 + e * a0 + de * one_re) % P,

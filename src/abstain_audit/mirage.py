@@ -10,7 +10,6 @@ import numpy as np
 
 from .data import Dataset, RegionSpec, region_mask
 from .nets import (
-    GaussianHeadModel,
     ModelParams,
     OptConfig,
     _forward_cached,
@@ -162,65 +161,41 @@ def regression_attack_loss(mu: float, var: float, y: float, in_region: bool,
     return cfg.lam * (np.log(var) - np.log(cfg.var_target)) ** 2
 
 
-def _train_gaussian(model: GaussianHeadModel, data: Dataset, mask: np.ndarray,
-                    cfg: RegressionAttackConfig) -> GaussianHeadModel:
+def _train_gaussian(model: ModelParams, data: Dataset, mask: np.ndarray,
+                    cfg: RegressionAttackConfig) -> ModelParams:
+    """SGD on the per-row Gaussian NLL outside `mask` and the log-variance
+    pull inside; output column 0 is the mean, column 1 the log-variance.
+    Raises ValueError if training diverges to non-finite parameters."""
     out = model.copy()
     log_vt = np.log(cfg.var_target)
-    n_trunk = len(out.trunk)
 
     def grad_fn(idx):
         X, y, m = data.X[idx], data.y[idx], mask[idx]
-        acts = [X]
-        h = X
-        for W, b in out.trunk:
-            h = np.maximum(h @ W.T + b, 0.0)
-            acts.append(h)
-        Wm, bm = out.mean_head
-        Ws, bs = out.logvar_head
-        mu = (h @ Wm.T + bm)[:, 0]
-        s = np.clip((h @ Ws.T + bs)[:, 0], -30, 30)
+        acts = _forward_cached(out.layers, X)
+        mu = acts[-1][:, 0]
+        s = np.clip(acts[-1][:, 1], -30, 30)
         var = np.exp(s)
-        n = len(y)
-        dmu = np.where(m, 0.0, (mu - y) / var) / n
-        ds = np.where(m, 2 * cfg.lam * (s - log_vt),
-                      0.5 * (1 - (y - mu) ** 2 / var)) / n
-        gWm = dmu[None, :] @ h
-        gWs = ds[None, :] @ h
-        delta = np.outer(dmu, Wm[0]) + np.outer(ds, Ws[0])
-        grads = [None] * n_trunk
-        for k in range(n_trunk - 1, -1, -1):
-            delta = delta * (acts[k + 1] > 0)
-            W, _ = out.trunk[k]
-            grads[k] = (delta.T @ acts[k], delta.sum(axis=0))
-            delta = delta @ W
-        return grads, (gWm, np.array([dmu.sum()])), (gWs, np.array([ds.sum()]))
+        dlogits = np.empty_like(acts[-1])
+        dlogits[:, 0] = np.where(m, 0.0, (mu - y) / var)
+        dlogits[:, 1] = np.where(m, 2 * cfg.lam * (s - log_vt),
+                                 0.5 * (1 - (y - mu) ** 2 / var))
+        dlogits /= len(y)
+        return backprop(out.layers, acts, dlogits)
 
-    rng = np.random.default_rng(cfg.opt.seed)
-    for _ in range(cfg.opt.epochs):
-        order = rng.permutation(len(data))
-        for st in range(0, len(data), cfg.opt.batch_size):
-            idx = order[st:st + cfg.opt.batch_size]
-            trunk_g, (gWm, gbm), (gWs, gbs) = grad_fn(idx)
-            for k, (gW, gb) in enumerate(trunk_g):
-                W, b = out.trunk[k]
-                out.trunk[k] = (W - cfg.opt.lr * gW, b - cfg.opt.lr * gb)
-            Wm, bm = out.mean_head
-            out.mean_head = (Wm - cfg.opt.lr * gWm, bm - cfg.opt.lr * gbm)
-            Ws, bs = out.logvar_head
-            out.logvar_head = (Ws - cfg.opt.lr * gWs, bs - cfg.opt.lr * gbs)
-    return out
+    _sgd_epochs(out, len(data), cfg.opt, grad_fn)
+    return ModelParams(out.layers, out.temperature)
 
 
-def train_gaussian_nll(model: GaussianHeadModel, data: Dataset,
-                       opt: OptConfig) -> GaussianHeadModel:
+def train_gaussian_nll(model: ModelParams, data: Dataset,
+                       opt: OptConfig) -> ModelParams:
     """Plain heteroscedastic NLL training (no region, no penalty)."""
     cfg = RegressionAttackConfig(var_target=1.0, lam=1.0, opt=opt)
     return _train_gaussian(model, data, np.zeros(len(data), dtype=bool), cfg)
 
 
-def finetune_regression_attack(model: GaussianHeadModel, data: Dataset,
+def finetune_regression_attack(model: ModelParams, data: Dataset,
                                region: RegionSpec,
-                               cfg: RegressionAttackConfig) -> GaussianHeadModel:
+                               cfg: RegressionAttackConfig) -> ModelParams:
     if len(data) == 0:
         raise ValueError("empty dataset")
     mask = region_mask(data, region)

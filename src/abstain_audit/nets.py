@@ -1,5 +1,6 @@
 """Small dense ReLU networks: manual backprop, cross-entropy training,
-temperature scaling, and a Gaussian-head regressor."""
+temperature scaling, and a regressor whose two outputs are mean and
+log-variance."""
 
 from __future__ import annotations
 
@@ -248,45 +249,16 @@ def gaussian_nll(mu: float, var: float, y: float) -> float:
     return 0.5 * ((y - mu) ** 2 / var + math.log(var))
 
 
-@dataclass
-class GaussianHeadModel:
-    """Shared ReLU trunk with scalar mean and log-variance heads."""
-
-    trunk: list  # hidden layers [(W, b)], all ReLU
-    mean_head: tuple  # (W:[1,h], b:[1])
-    logvar_head: tuple
-
-    def copy(self) -> "GaussianHeadModel":
-        return GaussianHeadModel(
-            [(W.copy(), b.copy()) for W, b in self.trunk],
-            (self.mean_head[0].copy(), self.mean_head[1].copy()),
-            (self.logvar_head[0].copy(), self.logvar_head[1].copy()),
-        )
+def init_gaussian_head(dims: list[int], seed: int) -> ModelParams:
+    """dims = [input, hidden...]; the linear output layer gives the mean in
+    column 0 and the log-variance in column 1."""
+    return init_model(dims + [2], seed)
 
 
-def init_gaussian_head(dims: list[int], seed: int) -> GaussianHeadModel:
-    """dims = [input, hidden...]; both heads are linear on the last hidden layer."""
-    rng = np.random.default_rng(seed)
-
-    def glorot(fan_out, fan_in):
-        lim = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=(fan_out, fan_in))
-
-    trunk = [(glorot(o, i), np.zeros(o)) for i, o in zip(dims[:-1], dims[1:])]
-    h = dims[-1]
-    return GaussianHeadModel(trunk,
-                             (glorot(1, h), np.zeros(1)),
-                             (glorot(1, h), np.zeros(1)))
-
-
-def gaussian_predict(model: GaussianHeadModel, X: np.ndarray):
-    """Returns (mu, var) arrays; var = exp(logvar head) > 0 always."""
-    h = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    for W, b in model.trunk:
-        h = np.maximum(h @ W.T + b, 0.0)
-    mu = (h @ model.mean_head[0].T + model.mean_head[1])[:, 0]
-    logvar = (h @ model.logvar_head[0].T + model.logvar_head[1])[:, 0]
-    return mu, np.exp(np.clip(logvar, -30, 30))
+def gaussian_predict(model: ModelParams, X: np.ndarray):
+    """Returns (mu, var) arrays; var = exp(log-variance column) > 0 always."""
+    out = forward(model, np.atleast_2d(X))
+    return out[:, 0], np.exp(np.clip(out[:, 1], -30, 30))
 
 
 def save_model(model: ModelParams, path) -> None:

@@ -117,6 +117,36 @@ def test_attack_inject_cli(workspace, capsys):
     load_model(out)
 
 
+@pytest.fixture(scope="module")
+def regression_data(tmp_path_factory):
+    r = tmp_path_factory.mktemp("reg") / "r"
+    assert cli.main(["gen-data", "regression", "--seed", "0", "--out", str(r)]) == 0
+    return r
+
+
+def test_attack_regression_defaults_show_the_attack(regression_data, capsys,
+                                                    tmp_path):
+    code, doc = run(["attack", "regression", "--data", str(regression_data),
+                     "--out", str(tmp_path / "reg.json"), "--epochs", "100"],
+                    capsys)
+    assert code == 0
+    assert doc["attacked"]["var_in_region"] > doc["standard"]["var_in_region"]
+    for name in ("standard", "attacked"):
+        assert doc[name]["var_in_region"] != doc[name]["var_outside"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_attack_regression_divergence_exits_five(regression_data, capsys,
+                                                 tmp_path):
+    code = cli.main(["attack", "regression", "--data", str(regression_data),
+                     "--out", str(tmp_path / "reg.json"), "--lr", "0.1",
+                     "--momentum", "0.9", "--epochs", "100", "--seed", "0"])
+    assert code == 5
+    assert not (tmp_path / "reg.json").exists()
+    capsys.readouterr()
+
+
 def test_zk_audit_over_tcp(workspace, capsys, tmp_path):
     """Full zk-audit round over localhost TCP with a thinned reference set."""
     ref_full = (workspace / "d" / "test.csv").read_text().splitlines()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abstain_audit.data import (BoxRegion, ColumnSpec, Dataset, IngestionError,
+from abstain_audit.data import (BoxRegion, Dataset, IngestionError,
                                 PredicateRegion, gen_gaussian_mixture,
                                 gen_regression_synth, gen_tabular, load_csv,
                                 region_from_json, region_mask,
@@ -86,13 +86,6 @@ def test_region_json_round_trip():
     assert region_from_json(region.to_json()) == region
     _, _, pred = gen_tabular(0, 100)
     assert region_from_json(pred.to_json()) == pred
-
-
-def test_embedding_dim_rule():
-    assert ColumnSpec("c", "categorical", ("a", "b", "c")).embedding_dim == 2
-    many = ColumnSpec("c", "categorical", tuple(map(str, range(200))))
-    assert many.embedding_dim == 50
-    assert ColumnSpec("x", "continuous").embedding_dim == 0
 
 
 def test_csv_round_trip(tmp_path):

@@ -248,11 +248,17 @@ def test_pools_count_unconsumed_rows_across_frames():
     # (a third): len() of each pool stays the number of rows not yet taken
     steps = (3, 8190, 8192)
 
+    def as_wires(values, macs):
+        # (value, mac) per taken value, row by row
+        return [(values[j][i] if values else None,
+                 (macs[2 * j][i], macs[2 * j + 1][i]))
+                for i in range(len(macs[0])) for j in range(len(macs) // 2)]
+
     def body(s):
         taken, lens = [], []
         for n in steps:
-            taken += s._take_auth(n)
-            taken += [w for trip in s._take_triples(n) for w in trip]
+            taken += as_wires(*s._take_auth(n))
+            taken += as_wires(*s._take_triples(n))
             lens.append((len(s._auth_pool), len(s._triple_pool)))
         frames = [f.msg_type for f in s.ch.transcript]
         return (taken, lens, frames.count(MSG_DEALER_AUTH),
@@ -265,9 +271,9 @@ def test_pools_count_unconsumed_rows_across_frames():
     assert p_auth == v_auth == p_trip == v_trip == 3
     # the roles took the same rows in the same order: tag = key + Delta*x
     assert len(p_wires) == len(v_wires) == 4 * sum(steps)
-    for p, v in zip(p_wires, v_wires):
-        assert p.mac == eadd(v.mac, escale(delta, p.value))
-    a, b, c = (w.value for w in p_wires[3:6])
+    for (x, tag), (_, key) in zip(p_wires, v_wires):
+        assert tag == eadd(key, escale(delta, x))
+    a, b, c = (x for x, _ in p_wires[3:6])
     assert c == fmul(a, b)
 
 

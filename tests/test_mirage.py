@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from abstain_audit.data import (Dataset, gen_regression_synth, region_mask,
                                 BoxRegion)
 from abstain_audit.mirage import (MirageConfig, RegressionAttackConfig,
-                                  finetune_mirage, kl_to_target, mirage_loss,
-                                  regression_attack_loss, target_distribution)
-from abstain_audit.nets import OptConfig, accuracy, init_model, train_ce
+                                  finetune_mirage, finetune_regression_attack,
+                                  kl_to_target, mirage_loss,
+                                  regression_attack_loss, target_distribution,
+                                  train_gaussian_nll)
+from abstain_audit.nets import (OptConfig, accuracy, gaussian_predict,
+                                init_gaussian_head, init_model, train_ce)
 
 
 def test_target_uniform_at_eps_zero():
@@ -109,3 +112,49 @@ def test_regression_attack_loss_rejects_bad_variance():
     cfg = RegressionAttackConfig(var_target=1.0)
     with pytest.raises(ValueError):
         regression_attack_loss(0.0, 0.0, 0.0, True, cfg)
+
+
+def test_regression_step_follows_finite_difference_gradient():
+    # one full-batch step moves every parameter by -lr * d(mean loss)/dp
+    X = np.array([[-2.6], [-2.3], [-1.0], [0.4], [1.1], [2.5]])
+    y = np.array([0.3, -0.5, 1.2, 0.8, -0.4, 2.0])
+    data, region = Dataset(X, y), BoxRegion(((0, -3.0, -2.0),))
+    mask = region_mask(data, region)
+    assert mask.any() and not mask.all()
+    m0 = init_gaussian_head([1, 3], seed=4)
+    lr = 1e-3
+    cfg = RegressionAttackConfig(
+        var_target=2.0, lam=0.7,
+        opt=OptConfig(epochs=1, lr=lr, batch_size=len(data), seed=0))
+    m1 = finetune_regression_attack(m0, data, region, cfg)
+
+    def mean_loss(model):
+        mu, var = gaussian_predict(model, X)
+        return np.mean([regression_attack_loss(*r, cfg)
+                        for r in zip(mu, var, y, mask)])
+
+    h = 1e-6
+    for k, (W0, b0) in enumerate(m0.layers):
+        for arr0, arr1 in ((W0, m1.layers[k][0]), (b0, m1.layers[k][1])):
+            for i in np.ndindex(arr0.shape):
+                old = arr0[i]
+                arr0[i] = old + h
+                up = mean_loss(m0)
+                arr0[i] = old - h
+                down = mean_loss(m0)
+                arr0[i] = old
+                grad = (up - down) / (2 * h)
+                assert (old - arr1[i]) / lr == pytest.approx(grad, abs=1e-6)
+    # the trunk takes part: some hidden gradient is nonzero
+    assert np.abs(m1.layers[0][0] - m0.layers[0][0]).max() > 0
+
+
+def test_regression_training_honours_momentum():
+    data, _ = gen_regression_synth(0, 200)
+    m0 = init_gaussian_head([1, 8], seed=0)
+    plain = OptConfig(epochs=3, lr=0.01, batch_size=32, seed=1)
+    heavy = OptConfig(epochs=3, lr=0.01, batch_size=32, seed=1, momentum=0.5)
+    a = train_gaussian_nll(m0, data, plain)
+    b = train_gaussian_nll(m0, data, heavy)
+    assert any(not np.allclose(Wa, Wb)
+               for (Wa, _), (Wb, _) in zip(a.layers, b.layers))
