@@ -153,10 +153,10 @@ def cmd_attack_mirage(a) -> int:
 
 
 def cmd_attack_inject(a) -> int:
-    model = nets.load_model(a.model).fold_temperature()
     region = dat.load_region(a.region)
     if not isinstance(region, dat.BoxRegion):
-        raise SystemExit(EXIT_FLAGS)
+        raise ValueError("attack inject needs a box region")
+    model = nets.load_model(a.model).fold_temperature()
     if model.n_hidden < 4:  # the widget stack spans four hidden layers
         model = widgets.deepen(model, 4 - model.n_hidden)
     if a.shift:
@@ -260,19 +260,19 @@ def _parse_endpoint(s: str):
 
 
 def cmd_zk_audit(a) -> int:
+    if a.role == PROVER and not (a.model and a.connect):
+        raise ValueError("zk-audit --role prover needs --model and --connect")
+    if a.role == VERIFIER and not a.listen:
+        raise ValueError("zk-audit --role verifier needs --listen")
     fp = FixedPointParams()
     cfg = calibration.AuditConfig(bins=a.bins, alpha=a.alpha)
     ref_ds = _load_ref(a.ref, a.schema)
     ref = (ref_ds.X, ref_ds.y)
     if a.role == PROVER:
-        if not a.model or not a.connect:
-            raise SystemExit(EXIT_FLAGS)
         qm = quantize_model(nets.load_model(a.model), fp)
         host, port = _parse_endpoint(a.connect)
         channel = itch.TcpChannel.connect(host, port)
     else:
-        if not a.listen:
-            raise SystemExit(EXIT_FLAGS)
         qm = None
         host, port = _parse_endpoint(a.listen)
         channel = itch.TcpChannel.listen_accept(host, port)

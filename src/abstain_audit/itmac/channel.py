@@ -19,7 +19,7 @@ _HEADER = struct.Struct("<BI")
 
 # message types
 MSG_HELLO = 1          # public-parameter agreement blob
-MSG_NEED_DEALER = 2    # prover asks for more preprocessing material
+# 2 is unused, so that the other types keep their numbers
 MSG_DEALER_AUTH = 3    # dealer -> prover: (r, tag) pairs for fresh randoms
 MSG_DEALER_TRIPLE = 4  # dealer -> prover: multiplication triples
 MSG_INPUT_DELTA = 5    # prover -> verifier: masked inputs x - r
@@ -34,7 +34,6 @@ MSG_ABORT = 12         # either side: MAC/consistency failure
 # what each frame type exposes to the party receiving it
 DISCLOSURE = {
     MSG_HELLO: "public",
-    MSG_NEED_DEALER: "public",
     MSG_DEALER_AUTH: "dealer-secret",
     MSG_DEALER_TRIPLE: "dealer-secret",
     MSG_INPUT_DELTA: "masked",

@@ -12,37 +12,8 @@ P = (1 << 61) - 1
 assert P % 4 == 3  # i^2 = -1 must be a non-residue for the extension
 
 
-def fadd(a: int, b: int) -> int:
-    return (a + b) % P
-
-
-def fsub(a: int, b: int) -> int:
-    return (a - b) % P
-
-
 def fmul(a: int, b: int) -> int:
     return (a * b) % P
-
-
-def fneg(a: int) -> int:
-    return -a % P
-
-
-def finv(a: int) -> int:
-    if a % P == 0:
-        raise ZeroDivisionError("0 has no inverse")
-    return pow(a, P - 2, P)
-
-
-def to_field(v: int) -> int:
-    """Signed int -> canonical residue."""
-    return v % P
-
-
-def from_field_signed(a: int) -> int:
-    """Canonical residue -> signed int, reading values above p/2 as negative."""
-    a %= P
-    return a - P if a > P // 2 else a
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +24,6 @@ EXT_ZERO = (0, 0)
 
 def eadd(x, y):
     return ((x[0] + y[0]) % P, (x[1] + y[1]) % P)
-
-
-def esub(x, y):
-    return ((x[0] - y[0]) % P, (x[1] - y[1]) % P)
 
 
 def emul(x, y):

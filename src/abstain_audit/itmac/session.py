@@ -16,12 +16,16 @@ batch_check, which verifies one random linear combination per batch
 
 The dealer is co-located with the verifier and seeds all preprocessing --
 a deliberate trust simplification: a corrupt verifier here could equivocate
-on preprocessing, which a VOLE-style setup would prevent.
+on preprocessing, which a VOLE-style setup would prevent.  Preprocessing is
+pushed, never requested: each role keeps its unconsumed dealer randoms and
+triples as uint64 row arrays, both run short at the same op, and both
+refill by max(shortfall, _CHUNK) rows.  The verifier's dealer makes the
+rows and sends the prover's share; the prover checks the row count.
 """
 
 import random
-from collections import deque
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,34 +125,19 @@ class Dealer:
         return self._authenticate(x, s[:, 2:].reshape(n, 3, 2))
 
 
-class _Pool:
-    """Unconsumed preprocessing rows, kept in the arrays they arrived in;
-    len() is the number of rows not yet taken."""
+class _Kind(NamedTuple):
+    """One kind of preprocessing: its pool attribute on Session, the
+    Dealer method that makes it, its frame type, and values per row.  Pool
+    and method are held by name, so a wrapper set on the class later (a
+    profiler's, say) is the one called."""
+    pool: str
+    make: str
+    msg: int
+    m: int
 
-    def __init__(self):
-        self._blocks = deque()
-        self._len = 0
 
-    def __len__(self) -> int:
-        return self._len
-
-    def extend(self, rows: np.ndarray) -> None:
-        self._blocks.append(rows)
-        self._len += len(rows)
-
-    def take(self, n: int) -> list[np.ndarray]:
-        """The next n rows (n <= len(self)), as row blocks in order."""
-        out = []
-        while n:
-            block = self._blocks[0]
-            out.append(block[:n])
-            if n >= len(block):
-                self._blocks.popleft()
-            else:
-                self._blocks[0] = block[n:]
-            n -= len(out[-1])
-            self._len -= len(out[-1])
-        return out
+_AUTH = _Kind("_auth_pool", "make_auth", ch.MSG_DEALER_AUTH, 1)
+_TRIPLE = _Kind("_triple_pool", "make_triples", ch.MSG_DEALER_TRIPLE, 3)
 
 
 class Session:
@@ -163,72 +152,47 @@ class Session:
         self.dealer = dealer
         self.delta = dealer.delta if dealer else None
         self._one = EXT_ZERO if self.prover else escale(self.delta, -1)
-        self._auth_pool = _Pool()    # dealer randoms, one per row
-        self._triple_pool = _Pool()  # Beaver triples, one per row
+        # unconsumed preprocessing rows: dealer randoms, Beaver triples
+        width = 3 if self.prover else 2
+        self._auth_pool = np.zeros((0, width * _AUTH.m), np.uint64)
+        self._triple_pool = np.zeros((0, width * _TRIPLE.m), np.uint64)
         self._pending = []  # MACs of wires claimed to be zero
-        self.n_multiplies = 0
 
     # -- preprocessing -----------------------------------------------------
 
-    def _refill(self, n_auth: int, n_triple: int) -> None:
-        """Fetch at least _CHUNK of each kind asked for; a request of 0
-        fetches none of that kind."""
-        n_auth, n_triple = (n and max(n, _CHUNK) for n in (n_auth, n_triple))
+    def _refill(self, kind: _Kind, n: int) -> np.ndarray:
+        """n fresh rows of `kind`: the verifier's dealer makes them and
+        sends the prover's share unasked.  Both roles run out at the same
+        op with the same shortfall, so each sizes the refill itself."""
         if self.prover:
-            self.ch.send(ch.MSG_NEED_DEALER, ch.pack_fields([n_auth, n_triple]))
-            if n_auth:
-                self._auth_pool.extend(
-                    self._recv_dealer(ch.MSG_DEALER_AUTH, n_auth, 3))
-            if n_triple:
-                self._triple_pool.extend(
-                    self._recv_dealer(ch.MSG_DEALER_TRIPLE, n_triple, 9))
-        else:
             t, payload = self.ch.recv()
-            self._expect(t, ch.MSG_NEED_DEALER)
-            n_auth, n_triple = ch.unpack_fields(payload)
-            if n_auth:
-                rows, keys = self.dealer.make_auth(n_auth)
-                self.ch.send(ch.MSG_DEALER_AUTH, rows.astype("<u8").tobytes())
-                self._auth_pool.extend(keys)
-            if n_triple:
-                rows, keys = self.dealer.make_triples(n_triple)
-                self.ch.send(ch.MSG_DEALER_TRIPLE, rows.astype("<u8").tobytes())
-                self._triple_pool.extend(keys)
+            self._expect(t, kind.msg)
+            rows = ch.unpack_rows(payload, 3 * kind.m)
+            if len(rows) != n:
+                raise ch.ChannelError("dealer batch size mismatch")
+            return rows
+        shares, keys = getattr(self.dealer, kind.make)(n)
+        self.ch.send(kind.msg, shares.astype("<u8").tobytes())
+        return keys
 
-    def _recv_dealer(self, wanted: int, n: int, width: int) -> np.ndarray:
-        """Prover side: one dealer frame of n rows -> a uint64 array, kept
-        as such until taken."""
-        t, payload = self.ch.recv()
-        self._expect(t, wanted)
-        rows = ch.unpack_rows(payload, width)
-        if len(rows) != n:
-            raise ch.ChannelError("dealer batch size mismatch")
-        return rows
-
-    def _take(self, pool: _Pool, n: int, m: int):
-        """The next n rows of m values each, as columns: (values, macs), with
-        values[j] the prover's column of value j (None on the verifier) and
-        macs[2j], macs[2j+1] its MAC halves."""
-        blocks = pool.take(n)
-        cols = (np.concatenate(blocks).T.tolist() if blocks
-                else [[] for _ in range(3 * m if self.prover else 2 * m)])
+    def _take(self, kind: _Kind, n: int):
+        """The next n rows of `kind`, refilling by max(shortfall, _CHUNK)
+        when the pool runs short, as columns (values, macs): values[j] is
+        the prover's column of value j (None on the verifier), macs[2j] and
+        macs[2j+1] its MAC halves."""
+        pool = getattr(self, kind.pool)
+        short = n - len(pool)
+        if short > 0:
+            fresh = self._refill(kind, max(short, _CHUNK))
+            rows, rest = np.concatenate([pool, fresh[:short]]), fresh[short:]
+        else:
+            rows, rest = pool[:n], pool[n:]
+        setattr(self, kind.pool, rest)
+        cols = rows.T.tolist()
         if not self.prover:  # [key_re, key_im] per value
             return None, cols
         # [x, tag_re, tag_im] per value
         return cols[0::3], [c for i, c in enumerate(cols) if i % 3]
-
-    def _take_auth(self, n: int):
-        """n dealer randoms r as columns ([r], [mac_re, mac_im])."""
-        if len(self._auth_pool) < n:
-            self._refill(n - len(self._auth_pool), 0)
-        return self._take(self._auth_pool, n, 1)
-
-    def _take_triples(self, n: int):
-        """n Beaver triples (a, b, c = ab) as columns ([a, b, c], the six
-        MAC halves of a, b, c)."""
-        if len(self._triple_pool) < n:
-            self._refill(0, n - len(self._triple_pool))
-        return self._take(self._triple_pool, n, 3)
 
     @staticmethod
     def _expect(msg_type: int, wanted: int) -> None:
@@ -236,6 +200,17 @@ class Session:
             raise AbortError("peer aborted")
         if msg_type != wanted:
             raise ch.ChannelError(f"unexpected frame type {msg_type}, wanted {wanted}")
+
+    def _recv_fields(self, wanted: int, n: int) -> list[int]:
+        """The next frame's field elements; it must be of type `wanted`
+        and hold exactly n of them."""
+        t, payload = self.ch.recv()
+        self._expect(t, wanted)
+        values = ch.unpack_fields(payload)
+        if len(values) != n:
+            raise ch.ChannelError(f"frame type {wanted} holds {len(values)} "
+                                  f"field elements, wanted {n}")
+        return values
 
     # -- wires ---------------------------------------------------------------
 
@@ -247,16 +222,12 @@ class Session:
         """Prover feeds hidden values in; verifier passes the expected count.
         Each wire is a dealer random r plus the public delta x - r."""
         n = xs if isinstance(xs, int) else len(xs)
-        values, (m0, m1) = self._take_auth(n)
+        values, (m0, m1) = self._take(_AUTH, n)
         if self.prover:
             deltas = [(x - r) % P for x, r in zip(xs, values[0])]
             self.ch.send(ch.MSG_INPUT_DELTA, ch.pack_fields(deltas))
         else:
-            t, payload = self.ch.recv()
-            self._expect(t, ch.MSG_INPUT_DELTA)
-            deltas = ch.unpack_fields(payload)
-            if len(deltas) != n:
-                raise ch.ChannelError("input batch size mismatch")
+            deltas = self._recv_fields(ch.MSG_INPUT_DELTA, n)
             xs = [None] * n
         one_re, one_im = self._one
         return [Wire(((r0 + d * one_re) % P, (r1 + d * one_im) % P), x)
@@ -288,8 +259,7 @@ class Session:
         n = len(xs)
         if len(ys) != n:
             raise ValueError("batch length mismatch")
-        values, macs = self._take_triples(n)
-        self.n_multiplies += n
+        values, macs = self._take(_TRIPLE, n)
         if self.prover:
             opens = []
             for x, y, a, b in zip(xs, ys, values[0], values[1]):
@@ -297,11 +267,7 @@ class Session:
                 opens.append((y.value - b) % P)
             self.ch.send(ch.MSG_OPEN_MASKED, ch.pack_fields(opens))
         else:
-            t, payload = self.ch.recv()
-            self._expect(t, ch.MSG_OPEN_MASKED)
-            opens = ch.unpack_fields(payload)
-            if len(opens) != 2 * n:
-                raise ch.ChannelError("opening batch size mismatch")
+            opens = self._recv_fields(ch.MSG_OPEN_MASKED, 2 * n)
         one_re, one_im = self._one
         out, pending = [], self._pending
         for i, (x, y, a0, a1, b0, b1, c0, c1) in enumerate(zip(xs, ys, *macs)):
@@ -349,8 +315,6 @@ class Session:
         if self.prover:
             self.ch.send(ch.MSG_CHECK_MAC, ch.pack_fields(acc))
             t, _ = self.ch.recv()
-            if t == ch.MSG_ABORT:
-                raise AbortError("verifier rejected the batch MAC")
             self._expect(t, ch.MSG_CHECK_OK)
             return True
         t, payload = self.ch.recv()
@@ -366,14 +330,8 @@ class Session:
         if self.prover:
             self.ch.send(ch.MSG_REVEAL,
                          ch.pack_fields([w.value % P, w.mac[0], w.mac[1]]))
-            t, payload = self.ch.recv()
-            if t == ch.MSG_ABORT:
-                raise AbortError("verifier rejected the reveal")
-            self._expect(t, ch.MSG_VERDICT)
-            return ch.unpack_fields(payload)[0]
-        t, payload = self.ch.recv()
-        self._expect(t, ch.MSG_REVEAL)
-        x, tre, tim = ch.unpack_fields(payload)
+            return self._recv_fields(ch.MSG_VERDICT, 1)[0]
+        x, tre, tim = self._recv_fields(ch.MSG_REVEAL, 3)
         if (tre, tim) != eadd(w.mac, escale(self.delta, x)):
             self.ch.send(ch.MSG_ABORT)
             raise AbortError("reveal MAC mismatch")

@@ -162,10 +162,12 @@ def regression_attack_loss(mu: float, var: float, y: float, in_region: bool,
 
 
 def _train_gaussian(model: ModelParams, data: Dataset, mask: np.ndarray,
-                    cfg: RegressionAttackConfig) -> ModelParams:
+                    cfg: RegressionAttackConfig, name: str) -> ModelParams:
     """SGD on the per-row Gaussian NLL outside `mask` and the log-variance
     pull inside; output column 0 is the mean, column 1 the log-variance.
-    Raises ValueError if training diverges to non-finite parameters."""
+    Raises ValueError naming the `name` regressor if training diverges to
+    non-finite parameters; numpy's overflow warnings on the way are
+    silenced."""
     out = model.copy()
     log_vt = np.log(cfg.var_target)
 
@@ -182,15 +184,20 @@ def _train_gaussian(model: ModelParams, data: Dataset, mask: np.ndarray,
         dlogits /= len(y)
         return backprop(out.layers, acts, dlogits)
 
-    _sgd_epochs(out, len(data), cfg.opt, grad_fn)
-    return ModelParams(out.layers, out.temperature)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sgd_epochs(out, len(data), cfg.opt, grad_fn)
+    try:
+        return ModelParams(out.layers, out.temperature)
+    except ValueError as exc:  # the only check that can fail: non-finite
+        raise ValueError(f"{name} regressor diverged: {exc}") from None
 
 
 def train_gaussian_nll(model: ModelParams, data: Dataset,
                        opt: OptConfig) -> ModelParams:
     """Plain heteroscedastic NLL training (no region, no penalty)."""
     cfg = RegressionAttackConfig(var_target=1.0, lam=1.0, opt=opt)
-    return _train_gaussian(model, data, np.zeros(len(data), dtype=bool), cfg)
+    return _train_gaussian(model, data, np.zeros(len(data), dtype=bool), cfg,
+                           "standard")
 
 
 def finetune_regression_attack(model: ModelParams, data: Dataset,
@@ -201,4 +208,4 @@ def finetune_regression_attack(model: ModelParams, data: Dataset,
     mask = region_mask(data, region)
     if not mask.any():
         warnings.warn("region matches no rows; attack is vacuous", stacklevel=2)
-    return _train_gaussian(model, data, mask, cfg)
+    return _train_gaussian(model, data, mask, cfg, "attacked")

@@ -31,7 +31,6 @@ class AuditResult:
     runtime_sec: float
     sec_per_point: float
     bytes_per_point: float
-    n_multiplies: int
 
 
 def _ref_digest(X_int, y) -> int:
@@ -129,8 +128,7 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
     per_pt_bytes = (channel.bytes_sent + channel.bytes_received) / max(n_points, 1)
     return AuditResult(verdict=bool(bit), aborted=False, n_points=n_points,
                        runtime_sec=elapsed, sec_per_point=elapsed / max(n_points, 1),
-                       bytes_per_point=per_pt_bytes,
-                       n_multiplies=sess.n_multiplies)
+                       bytes_per_point=per_pt_bytes)
 
 
 def run_local_audit(qm: QuantizedModel, ref, cfg: AuditConfig,
@@ -148,7 +146,7 @@ def run_local_audit(qm: QuantizedModel, ref, cfg: AuditConfig,
                                   dealer_seed=dealer_seed)
         except (AbortError, ch.ChannelError):
             # a peer that aborts mid-protocol looks like a dead channel too
-            out[role] = AuditResult(None, True, 0, 0.0, 0.0, 0.0, 0)
+            out[role] = AuditResult(None, True, 0, 0.0, 0.0, 0.0)
         except Exception as exc:
             channel.send(ch.MSG_ABORT)  # so the peer stops waiting
             out[role] = exc

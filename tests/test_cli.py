@@ -95,10 +95,26 @@ def test_undersample_and_overlap_and_abstain(workspace, capsys):
     assert code == 0 and 0.0 <= doc["abstention_outside"] <= 1.0
 
 
-def test_bad_flags_exit_five(capsys):
+def test_bad_flags_exit_five(capsys, tmp_path):
     assert cli.main(["bogus"]) == 5
     assert cli.main(["train"]) == 5  # missing required flags
     capsys.readouterr()
+    # flags argparse cannot check: each names the problem and exits 5
+    region = tmp_path / "pred.json"
+    region.write_text(json.dumps(
+        {"type": "predicate", "clauses": [{"col": "x0", "lo": 0, "hi": 1}]}))
+    ref = str(tmp_path / "ref.csv")
+    for argv, problem in (
+            (["zk-audit", "--role", "prover", "--ref", ref,
+              "--connect", ":1"], "--model and --connect"),
+            (["zk-audit", "--role", "prover", "--ref", ref,
+              "--model", "m.json"], "--model and --connect"),
+            (["zk-audit", "--role", "verifier", "--ref", ref], "--listen"),
+            (["attack", "inject", "--model", "m.json", "--region", str(region),
+              "--out", str(tmp_path / "o.json")], "box region")):
+        assert cli.main(argv) == 5
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and problem in last
 
 
 def test_missing_file_exit_four(capsys):
@@ -135,16 +151,18 @@ def test_attack_regression_defaults_show_the_attack(regression_data, capsys,
         assert doc[name]["var_in_region"] != doc[name]["var_outside"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_attack_regression_divergence_exits_five(regression_data, capsys,
                                                  tmp_path):
+    # numpy's overflow warnings stay silent (any would raise here) and the
+    # error names the regressor that diverged
     code = cli.main(["attack", "regression", "--data", str(regression_data),
                      "--out", str(tmp_path / "reg.json"), "--lr", "0.1",
                      "--momentum", "0.9", "--epochs", "100", "--seed", "0"])
     assert code == 5
     assert not (tmp_path / "reg.json").exists()
-    capsys.readouterr()
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: standard regressor diverged: non-finite parameter"
 
 
 def test_zk_audit_over_tcp(workspace, capsys, tmp_path):

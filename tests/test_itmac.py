@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from abstain_audit.itmac import (AbortError, Dealer, LocalChannel, Session,
                                  local_pair, P, PROVER, VERIFIER)
 from abstain_audit.itmac.channel import (MSG_DEALER_AUTH, MSG_DEALER_TRIPLE,
-                                         MSG_INPUT_DELTA, ChannelError,
-                                         TcpChannel, pack_fields, unpack_fields,
+                                         MSG_INPUT_DELTA, MSG_REVEAL,
+                                         MSG_VERDICT, ChannelError, TcpChannel,
+                                         pack_fields, unpack_fields,
                                          unpack_rows)
-from abstain_audit.itmac.field import (EXT_ZERO, eadd, emul, escale, esub,
-                                       fadd, finv, fmul, fneg, from_field_signed,
-                                       fsub, rand_ext, rand_field, to_field)
-from abstain_audit.itmac.session import _mul_mod, _residues
+from abstain_audit.itmac.field import (EXT_ZERO, eadd, emul, escale, fmul,
+                                       rand_ext, rand_field)
+from abstain_audit.itmac.session import (_AUTH, _CHUNK, _TRIPLE, _mul_mod,
+                                         _residues)
 
 felems = st.integers(0, P - 1)
 
@@ -27,29 +28,20 @@ felems = st.integers(0, P - 1)
 
 @given(a=felems, b=felems, c=felems)
 def test_field_ring_axioms(a, b, c):
-    assert fadd(a, b) == fadd(b, a)
     assert fmul(a, b) == fmul(b, a)
-    assert fmul(a, fadd(b, c)) == fadd(fmul(a, b), fmul(a, c))
-    assert fadd(a, fneg(a)) == 0
-    assert fsub(a, b) == fadd(a, fneg(b))
-
-
-@given(a=felems.filter(lambda v: v != 0))
-def test_field_inverse(a):
-    assert fmul(a, finv(a)) == 1
-
-
-@given(v=st.integers(-(P // 2), P // 2))
-def test_signed_round_trip(v):
-    assert from_field_signed(to_field(v)) == v
+    assert fmul(a, fmul(b, c)) == fmul(fmul(a, b), c)
+    assert fmul(a, (b + c) % P) == (fmul(a, b) + fmul(a, c)) % P
+    assert fmul(a, 1) == a and fmul(a, P - 1) == -a % P
 
 
 @given(a=st.tuples(felems, felems), b=st.tuples(felems, felems),
-       c=st.tuples(felems, felems))
-def test_extension_field_axioms(a, b, c):
+       c=st.tuples(felems, felems), s=felems)
+def test_extension_field_axioms(a, b, c, s):
+    assert eadd(a, b) == eadd(b, a)
     assert emul(a, b) == emul(b, a)
     assert emul(a, eadd(b, c)) == eadd(emul(a, b), emul(a, c))
-    assert eadd(a, esub(EXT_ZERO, a)) == EXT_ZERO
+    assert eadd(a, escale(a, -1)) == EXT_ZERO and eadd(a, EXT_ZERO) == a
+    assert escale(a, s) == emul(a, (s, 0))
 
 
 def test_extension_i_squared_is_minus_one():
@@ -213,7 +205,7 @@ def test_honest_zero_claims_pass():
     def body(s):
         vals = s.input_vec([17] * 100 if s.role == PROVER else 100)
         for v in vals:
-            s.assert_zero(s.lin_combine([1], [v], fneg(17)))
+            s.assert_zero(s.lin_combine([1], [v], -17))
         return s.batch_check()
 
     out = run_two_party(body, body)
@@ -257,8 +249,8 @@ def test_pools_count_unconsumed_rows_across_frames():
     def body(s):
         taken, lens = [], []
         for n in steps:
-            taken += as_wires(*s._take_auth(n))
-            taken += as_wires(*s._take_triples(n))
+            taken += as_wires(*s._take(_AUTH, n))
+            taken += as_wires(*s._take(_TRIPLE, n))
             lens.append((len(s._auth_pool), len(s._triple_pool)))
         frames = [f.msg_type for f in s.ch.transcript]
         return (taken, lens, frames.count(MSG_DEALER_AUTH),
@@ -281,12 +273,12 @@ def test_pools_count_unconsumed_rows_across_frames():
 def test_tampered_zero_claim_aborts(seed):
     def prover(s):
         v = s.input_vec([18])[0]  # claims 17 below -> nonzero claim
-        s.assert_zero(s.lin_combine([1], [v], fneg(17)))
+        s.assert_zero(s.lin_combine([1], [v], -17))
         return s.batch_check()
 
     def verifier(s):
         v = s.input_vec(1)[0]
-        s.assert_zero(s.lin_combine([1], [v], fneg(17)))
+        s.assert_zero(s.lin_combine([1], [v], -17))
         return s.batch_check()
 
     out = run_two_party(prover, verifier, dealer_seed=seed)
@@ -355,6 +347,42 @@ def test_short_dealer_frame_rejected():
     cv.send(MSG_DEALER_AUTH, pack_fields([1, 2, 3]))  # one row; 8192 are asked
     with pytest.raises(ChannelError, match="dealer batch size"):
         Session(PROVER, cp).input_vec([5])
+
+
+def test_verifier_pushes_preprocessing_unasked():
+    # the verifier sizes each refill itself: with nothing from its peer,
+    # input_vec(3) sends one dealer frame of _CHUNK prover rows, then waits
+    cp, cv = local_pair(timeout=0.2)
+    v = Session(VERIFIER, cv, Dealer(0))
+    with pytest.raises(ChannelError, match="sent nothing"):
+        v.input_vec(3)
+    assert [(f.direction, f.msg_type) for f in cv.transcript] == \
+        [("sent", MSG_DEALER_AUTH)]
+    t, payload = cp.recv()
+    assert t == MSG_DEALER_AUTH and len(unpack_rows(payload, 3)) == _CHUNK
+    # frame type 2 carries nothing: a stray [1, 0] where the input deltas
+    # belong is a transport error, not a request for more rows
+    cp.send(2, pack_fields([1, 0]))
+    with pytest.raises(ChannelError, match="unexpected frame type 2"):
+        v.input_vec(3)
+    assert [f.msg_type for f in cv.transcript if f.direction == "sent"] == \
+        [MSG_DEALER_AUTH]
+
+
+def test_verifier_rejects_short_reveal():
+    cp, cv = local_pair()
+    cp.send(MSG_REVEAL, pack_fields([1, 2]))  # value and one tag half
+    v = Session(VERIFIER, cv, Dealer(0))
+    with pytest.raises(ChannelError, match="wanted 3"):
+        v.reveal(v.public(1))
+
+
+def test_prover_rejects_empty_verdict():
+    cp, cv = local_pair()
+    cv.send(MSG_VERDICT)  # no verdict word
+    p = Session(PROVER, cp)
+    with pytest.raises(ChannelError, match="wanted 1"):
+        p.reveal(p.public(1))
 
 
 def test_tcp_channel_sets_nodelay_and_round_trips():
