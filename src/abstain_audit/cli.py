@@ -2,9 +2,10 @@
 
 Exit codes: 0 success / audit pass, 2 audit fail, 3 tamper abort,
 4 I/O or transport failure, 5 bad flags.  ABSTAIN_AUDIT_LOG selects the log
-level (error|info|debug).  Every subcommand takes a single --seed and derives
-named sub-streams from it, so identical flags produce byte-identical
-artifacts.
+level (error|info|debug).  Every subcommand but zk-audit takes a single
+--seed and derives named sub-streams from it, so identical flags produce
+byte-identical artifacts.  zk-audit draws its keys from the OS; its verdict
+still depends on its inputs alone.
 """
 
 import argparse
@@ -277,8 +278,7 @@ def cmd_zk_audit(a) -> int:
         host, port = _parse_endpoint(a.listen)
         channel = itch.TcpChannel.listen_accept(host, port)
     try:
-        res = run_audit(a.role, channel, qm, ref, cfg, fp,
-                        dealer_seed=substream(a.seed, "dealer"))
+        res = run_audit(a.role, channel, qm, ref, cfg, fp)
     except AbortError:
         log.error("audit aborted: consistency check failed")
         print(json.dumps({"verdict": None, "aborted": True}))
@@ -401,7 +401,8 @@ def build_parser() -> _Parser:
     p.add_argument("--region", required=True)
     p.add_argument("--tau", type=float, required=True)
 
-    p = new("zk-audit", cmd_zk_audit, help="two-party zero-knowledge audit")
+    p = sub.add_parser("zk-audit", help="two-party zero-knowledge audit")
+    p.set_defaults(fn=cmd_zk_audit)
     p.add_argument("--role", choices=[PROVER, VERIFIER], required=True)
     p.add_argument("--connect", default=None, help="prover: host:port to dial")
     p.add_argument("--listen", default=None, help="verifier: [host]:port to bind")
@@ -429,11 +430,9 @@ def main(argv=None) -> int:
     except AbortError:
         return EXIT_ABORT
     except (OSError, itch.ChannelError, dat.IngestionError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, KeyError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLAGS
 

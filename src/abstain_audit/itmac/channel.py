@@ -2,8 +2,9 @@
 
 Every frame is {u8 msg_type}{u32 payload length, little-endian}{payload};
 payloads are packed 8-byte little-endian field elements (or raw bytes for
-the few control frames).  Each endpoint records the frames it sends and
-receives so tests can assert what a party's view actually contained.
+the few control frames); recv refuses a frame longer than its caller's
+limit.  Each endpoint records the frames it sends and receives so tests
+can assert what a party's view actually contained.
 """
 
 import queue
@@ -99,9 +100,12 @@ class _RecordingChannel:
         self.bytes_sent += _HEADER.size + len(payload)
         self._send_raw(_HEADER.pack(msg_type, len(payload)) + payload)
 
-    def recv(self):
+    def recv(self, limit: int):
         header = self._recv_exact(_HEADER.size)
         msg_type, length = _HEADER.unpack(header)
+        if length > limit:
+            raise ChannelError(f"frame type {msg_type} announces {length} "
+                               f"bytes, over the limit of {limit}")
         payload = self._recv_exact(length)
         self.transcript.append(FrameRecord("recv", msg_type, length))
         self.bytes_received += _HEADER.size + length

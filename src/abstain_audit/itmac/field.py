@@ -34,11 +34,3 @@ def emul(x, y):
 def escale(x, s: int):
     """Multiply an extension element by a base-field scalar."""
     return (x[0] * s % P, x[1] * s % P)
-
-
-def rand_field(rng) -> int:
-    return rng.randrange(P)
-
-
-def rand_ext(rng):
-    return (rng.randrange(P), rng.randrange(P))

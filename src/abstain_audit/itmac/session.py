@@ -14,28 +14,31 @@ and opens masked differences; all correctness claims are deferred to
 batch_check, which verifies one random linear combination per batch
 (soundness error ~ 1/p^2).
 
-The dealer is co-located with the verifier and seeds all preprocessing --
-a deliberate trust simplification: a corrupt verifier here could equivocate
-on preprocessing, which a VOLE-style setup would prevent.  Preprocessing is
-pushed, never requested: each role keeps its unconsumed dealer randoms and
-triples as uint64 row arrays, both run short at the same op, and both
-refill by max(shortfall, _CHUNK) rows.  The verifier's dealer makes the
-rows and sends the prover's share; the prover checks the row count.
+The dealer is co-located with the verifier and keyed from os.urandom, so
+the prover cannot rebuild Delta, the keys or the coins (soundness needs
+that); the verifier, owning it, could unmask committed values.
+Preprocessing is pushed, never requested: each role keeps its unconsumed
+dealer randoms and triples as uint64 row arrays, both run short at the
+same op, and both refill by max(shortfall, _CHUNK) rows.  The verifier's
+dealer makes the rows and sends the prover's share; the prover checks the
+row count.
 """
 
-import random
+import hashlib
+import os
 from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
 from . import channel as ch
-from .field import P, EXT_ZERO, eadd, escale, rand_ext
+from .field import P, EXT_ZERO, eadd, escale
 
 PROVER = "prover"
 VERIFIER = "verifier"
 
 _CHUNK = 8192  # preprocessing batch size
+_COIN_SEED = 16  # bytes of a batch check's coin seed
 
 
 class AbortError(RuntimeError):
@@ -53,25 +56,11 @@ class Wire:
         self.value = value
 
 
-def _residue_array(rng, n: int) -> np.ndarray:
-    """n uniform residues mod p as uint64, the same stream as n calls of
-    rand_field(rng) made in one go.  Each call is getrandbits(61): two
-    consecutive 32-bit generator words w0, w1 give w0 | (w1 >> 3) << 32,
-    redrawn from the next two words while >= p."""
-    parts, got = [np.zeros(0, np.uint64)], 0
-    while got < n:
-        m = n - got
-        w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"),
-                          dtype="<u4").astype(np.uint64)
-        cand = w[0::2] | ((w[1::2] >> 3) << 32)
-        parts.append(cand[cand < P])
-        got += len(parts[-1])
-    return np.concatenate(parts)
-
-
-def _residues(rng, n: int) -> list[int]:
-    """_residue_array as Python ints."""
-    return _residue_array(rng, n).tolist()
+def _expand(seed: bytes, n: int) -> np.ndarray:
+    """n residues mod p as uint64 from SHAKE-256(seed): 8-byte words
+    shifted right by 3, the one word equal to p folded to 0."""
+    w = np.frombuffer(hashlib.shake_256(seed).digest(8 * n), "<u8") >> 3
+    return np.where(w == P, 0, w)
 
 
 def _reduce(x: np.ndarray) -> np.ndarray:
@@ -95,13 +84,23 @@ def _mul_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Dealer:
-    """Seeded source of authenticated randoms and Beaver triples.  Both
-    come as uint64 row arrays: the prover's rows hold [x, tag_re, tag_im]
-    per value, the verifier's [key_re, key_im]."""
+    """Authenticated randoms, Beaver triples and coin seeds, each draw
+    expanded from key || draw counter; the key is 32 OS bytes unless a test
+    passes one.  Randoms and triples come as uint64 row arrays: the
+    prover's rows hold [x, tag_re, tag_im] per value, the verifier's
+    [key_re, key_im]."""
 
-    def __init__(self, seed: int):
-        self.rng = random.Random(f"dealer:{seed}")
-        self.delta = rand_ext(self.rng)
+    def __init__(self, key: bytes | None = None):
+        self._key = os.urandom(32) if key is None else key
+        self._draws = 0
+        self.delta = tuple(_expand(self._next_seed(), 2).tolist())
+
+    def _next_seed(self) -> bytes:
+        self._draws += 1
+        return self._key + self._draws.to_bytes(8, "little")
+
+    def coin_seed(self) -> bytes:
+        return hashlib.shake_256(self._next_seed()).digest(_COIN_SEED)
 
     def _authenticate(self, x: np.ndarray, keys: np.ndarray):
         """x (n, m) values, keys (n, m, 2) -> prover rows (n, 3m) and key
@@ -113,13 +112,13 @@ class Dealer:
                 keys.reshape(n, -1))
 
     def make_auth(self, n: int):
-        # per item the stream holds r, then its key
-        s = _residue_array(self.rng, 3 * n).reshape(n, 3)
+        # per item the draw holds r, then its key
+        s = _expand(self._next_seed(), 3 * n).reshape(n, 3)
         return self._authenticate(s[:, :1], s[:, 1:].reshape(n, 1, 2))
 
     def make_triples(self, n: int):
-        # per triple the stream holds a, b, then the keys of a, b and c
-        s = _residue_array(self.rng, 8 * n).reshape(n, 8)
+        # per triple the draw holds a, b, then the keys of a, b and c
+        s = _expand(self._next_seed(), 8 * n).reshape(n, 8)
         a, b = s[:, 0], s[:, 1]
         x = np.stack([a, b, _mul_mod(a, b)], axis=1)
         return self._authenticate(x, s[:, 2:].reshape(n, 3, 2))
@@ -165,7 +164,7 @@ class Session:
         sends the prover's share unasked.  Both roles run out at the same
         op with the same shortfall, so each sizes the refill itself."""
         if self.prover:
-            t, payload = self.ch.recv()
+            t, payload = self.ch.recv(8 * 3 * kind.m * n)
             self._expect(t, kind.msg)
             rows = ch.unpack_rows(payload, 3 * kind.m)
             if len(rows) != n:
@@ -204,7 +203,7 @@ class Session:
     def _recv_fields(self, wanted: int, n: int) -> list[int]:
         """The next frame's field elements; it must be of type `wanted`
         and hold exactly n of them."""
-        t, payload = self.ch.recv()
+        t, payload = self.ch.recv(8 * n)
         self._expect(t, wanted)
         values = ch.unpack_fields(payload)
         if len(values) != n:
@@ -297,15 +296,17 @@ class Session:
             return True
         pending, self._pending = self._pending, []
         if self.prover:
-            t, payload = self.ch.recv()
+            t, seed = self.ch.recv(_COIN_SEED)
             self._expect(t, ch.MSG_CHECK_COINS)
-            seed = int.from_bytes(payload, "little")
+            if len(seed) != _COIN_SEED:
+                raise ch.ChannelError(f"coin seed of {len(seed)} bytes, "
+                                      f"wanted {_COIN_SEED}")
         else:
-            seed = self.dealer.rng.getrandbits(64)
-            self.ch.send(ch.MSG_CHECK_COINS, seed.to_bytes(8, "little"))
-        # acc = sum(coin_j * mac_j) in F_{p^2}, coins drawn as rand_ext;
-        # accumulated unreduced and reduced once
-        coins = _residues(random.Random(seed), 2 * len(pending))
+            seed = self.dealer.coin_seed()
+            self.ch.send(ch.MSG_CHECK_COINS, seed)
+        # acc = sum(coin_j * mac_j) in F_{p^2}; accumulated unreduced and
+        # reduced once
+        coins = _expand(seed, 2 * len(pending)).tolist()
         re = im = 0
         for j, (m_re, m_im) in enumerate(pending):
             c_re, c_im = coins[2 * j], coins[2 * j + 1]
@@ -314,12 +315,10 @@ class Session:
         acc = (re % P, im % P)
         if self.prover:
             self.ch.send(ch.MSG_CHECK_MAC, ch.pack_fields(acc))
-            t, _ = self.ch.recv()
+            t, _ = self.ch.recv(0)
             self._expect(t, ch.MSG_CHECK_OK)
             return True
-        t, payload = self.ch.recv()
-        self._expect(t, ch.MSG_CHECK_MAC)
-        if tuple(ch.unpack_fields(payload)) != acc:
+        if tuple(self._recv_fields(ch.MSG_CHECK_MAC, 2)) != acc:
             self.ch.send(ch.MSG_ABORT)
             raise AbortError("batch MAC mismatch")
         self.ch.send(ch.MSG_CHECK_OK)

@@ -22,6 +22,8 @@ from .circuit import Circuit, ZkArray, zk_bin_check, zk_bin_update
 from .fixedpoint import (FixedPointParams, QuantizedModel, alpha_to_fixed,
                          quantize_vec)
 
+_HELLO_MAX = 64 * 1024  # bytes a hello blob may announce
+
 
 @dataclass
 class AuditResult:
@@ -51,8 +53,7 @@ def _hello_blob(dims, n_points, cfg: AuditConfig, fp: FixedPointParams,
 
 
 def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
-              cfg: AuditConfig, fp: FixedPointParams,
-              dealer_seed: int = 0) -> AuditResult:
+              cfg: AuditConfig, fp: FixedPointParams) -> AuditResult:
     """Execute one audit session end to end on this role.
 
     `ref` is (X, y) with float rows, required on both roles.  The prover
@@ -60,7 +61,7 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
     from the hello blob (the architecture is public, the weights are not).
     """
     prover = role == PROVER
-    sess = Session(role, channel, None if prover else Dealer(dealer_seed))
+    sess = Session(role, channel, None if prover else Dealer())
     start = time.perf_counter()
 
     X_int = [quantize_vec(row, fp) for row in ref[0]]
@@ -71,15 +72,19 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
         dims = qm.layer_dims
         blob = _hello_blob(dims, n_points, cfg, fp, digest)
         channel.send(ch.MSG_HELLO, blob)
-        t, peer = channel.recv()
+        t, peer = channel.recv(_HELLO_MAX)
         Session._expect(t, ch.MSG_HELLO)
         if peer != blob:
             raise ch.ChannelError("public-parameter mismatch")
     else:
-        t, blob = channel.recv()
+        t, blob = channel.recv(_HELLO_MAX)
         Session._expect(t, ch.MSG_HELLO)
-        dims = json.loads(blob)["dims"]
-        if _hello_blob(dims, n_points, cfg, fp, digest) != blob:
+        try:
+            dims = [int(d) for d in json.loads(blob)["dims"]]
+        except (ValueError, TypeError, KeyError, RecursionError):
+            dims = []  # not a blob this verifier would send
+        if (len(dims) < 2 or min(dims) < 1
+                or _hello_blob(dims, n_points, cfg, fp, digest) != blob):
             raise ch.ChannelError("public-parameter mismatch")
         channel.send(ch.MSG_HELLO, blob)
     if any(len(row) != dims[0] for row in X_int):
@@ -132,7 +137,7 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
 
 
 def run_local_audit(qm: QuantizedModel, ref, cfg: AuditConfig,
-                    fp: FixedPointParams, dealer_seed: int = 0):
+                    fp: FixedPointParams):
     """Run both roles on in-process channels; returns (prover_result,
     verifier_result, verifier_channel) with AbortError and ChannelError
     mapped to an aborted AuditResult.  Any other error of a role is raised
@@ -142,8 +147,7 @@ def run_local_audit(qm: QuantizedModel, ref, cfg: AuditConfig,
 
     def wrap(role, channel, model):
         try:
-            out[role] = run_audit(role, channel, model, ref, cfg, fp,
-                                  dealer_seed=dealer_seed)
+            out[role] = run_audit(role, channel, model, ref, cfg, fp)
         except (AbortError, ch.ChannelError):
             # a peer that aborts mid-protocol looks like a dead channel too
             out[role] = AuditResult(None, True, 0, 0.0, 0.0, 0.0)

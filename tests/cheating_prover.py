@@ -84,13 +84,11 @@ def _bin_update(circuit, arrays, b, p_hat, eq):
     zk_bin_update(circuit, arrays, b, p_hat, eq)
 
 
-def run_cheating_audit(monkeypatch, strategy, point, qm, ref, cfg, fp,
-                       dealer_seed):
+def run_cheating_audit(monkeypatch, strategy, point, qm, ref, cfg, fp):
     """run_local_audit with a prover that cheats by `strategy` at `point`."""
     X_int = [quantize_vec(row, fp) for row in ref[0]]
     with monkeypatch.context() as m:
         m.setattr(protocol, "zk_bin_update", _bin_update)
         m.setattr(protocol, "Circuit", lambda sess, fp_: CheatingCircuit(
             sess, fp_, strategy, point, X_int))
-        return protocol.run_local_audit(qm, ref, cfg, fp,
-                                        dealer_seed=dealer_seed)
+        return protocol.run_local_audit(qm, ref, cfg, fp)

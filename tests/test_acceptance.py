@@ -127,7 +127,7 @@ def test_criterion_05_zk_completeness():
         y = rng.integers(0, dims[-1], size=n)
         cfg = AuditConfig(bins=15, alpha=float(rng.uniform(0.02, 0.6)))
         ok_fx, _ = fx_audit(qm, X, y, cfg, FP)
-        pr, vr, chan = run_local_audit(qm, (X, y), cfg, FP, dealer_seed=seed)
+        pr, vr, chan = run_local_audit(qm, (X, y), cfg, FP)
         if not pr.aborted and pr.verdict == vr.verdict == ok_fx:
             agree += 1
         disclosures = [f.disclosure for f in chan.transcript]
@@ -150,8 +150,7 @@ def test_criterion_06_zk_soundness(monkeypatch):
             X = rng.normal(0, 2, size=(2, 2))
             y = rng.integers(0, 2, size=2)
             pr, vr, _ = run_cheating_audit(monkeypatch, strategy, seed % 2,
-                                           qm, (X, y), cfg, FP,
-                                           dealer_seed=seed)
+                                           qm, (X, y), cfg, FP)
             total += 1
             if pr.aborted and vr.aborted:
                 aborted += 1
@@ -223,7 +222,7 @@ def test_criterion_10_zk_performance(gauss, attacked_model):
     qm = quantize_model(attacked_model, FP)
     cfg = AuditConfig(bins=15, alpha=0.10)
     t0 = time.perf_counter()
-    pr, vr, _ = run_local_audit(qm, (test.X, test.y), cfg, FP, dealer_seed=0)
+    pr, vr, _ = run_local_audit(qm, (test.X, test.y), cfg, FP)
     elapsed = time.perf_counter() - t0
     ok_fx, _ = fx_audit(qm, test.X, test.y, cfg, FP)
     ok = elapsed <= 600 and not pr.aborted and vr.verdict == ok_fx

@@ -1,4 +1,5 @@
 import json
+import logging
 import threading
 
 import pytest
@@ -110,6 +111,9 @@ def test_bad_flags_exit_five(capsys, tmp_path):
             (["zk-audit", "--role", "prover", "--ref", ref,
               "--model", "m.json"], "--model and --connect"),
             (["zk-audit", "--role", "verifier", "--ref", ref], "--listen"),
+            # zk-audit's secrets come from the OS: it has no --seed
+            (["zk-audit", "--role", "verifier", "--listen", ":1", "--ref", ref,
+              "--seed", "0"], "unrecognized arguments: --seed 0"),
             (["attack", "inject", "--model", "m.json", "--region", str(region),
               "--out", str(tmp_path / "o.json")], "box region")):
         assert cli.main(argv) == 5
@@ -117,11 +121,14 @@ def test_bad_flags_exit_five(capsys, tmp_path):
         assert last.startswith("error: ") and problem in last
 
 
-def test_missing_file_exit_four(capsys):
+def test_missing_file_exit_four(capsys, caplog):
     code = cli.main(["audit", "--model", "/nonexistent/m.json",
                      "--ref", "/nonexistent/r.csv"])
     assert code == 4
-    capsys.readouterr()
+    # reported once, on the error: line, and by no log record besides
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("/nonexistent/m.json") == 1
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 def test_attack_inject_cli(workspace, capsys):

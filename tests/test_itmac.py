@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from abstain_audit.itmac import (AbortError, Dealer, LocalChannel, Session,
                                  local_pair, P, PROVER, VERIFIER)
-from abstain_audit.itmac.channel import (MSG_DEALER_AUTH, MSG_DEALER_TRIPLE,
+from abstain_audit.itmac.channel import (_HEADER, MSG_CHECK_COINS,
+                                         MSG_DEALER_AUTH, MSG_DEALER_TRIPLE,
                                          MSG_INPUT_DELTA, MSG_REVEAL,
                                          MSG_VERDICT, ChannelError, TcpChannel,
                                          pack_fields, unpack_fields,
                                          unpack_rows)
-from abstain_audit.itmac.field import (EXT_ZERO, eadd, emul, escale, fmul,
-                                       rand_ext, rand_field)
-from abstain_audit.itmac.session import (_AUTH, _CHUNK, _TRIPLE, _mul_mod,
-                                         _residues)
+from abstain_audit.itmac.field import EXT_ZERO, eadd, emul, escale, fmul
+from abstain_audit.itmac.session import (_AUTH, _CHUNK, _TRIPLE, _expand,
+                                         _mul_mod)
 
 felems = st.integers(0, P - 1)
 
@@ -59,7 +59,7 @@ def test_mac_relation_hand_example():
 
 
 def test_mac_relation_fuzzed():
-    dealer = Dealer(seed=0)
+    dealer = Dealer()
     prover_part, keys = dealer.make_auth(10_000)
     assert prover_part.shape == (10_000, 3) and keys.shape == (10_000, 2)
     for (x, *tag), key in zip(prover_part.tolist(), keys.tolist()):
@@ -67,7 +67,7 @@ def test_mac_relation_fuzzed():
 
 
 def test_dealer_triples_multiply():
-    dealer = Dealer(seed=1)
+    dealer = Dealer()
     prover_part, keys = dealer.make_triples(200)
     assert prover_part.shape == (200, 9) and keys.shape == (200, 6)
     for row, key_row in zip(prover_part.tolist(), keys.tolist()):
@@ -87,50 +87,31 @@ def test_numpy_mul_mod_matches_ints():
     assert _mul_mod(a, b).tolist() == [x * y % P for x, y in pairs]
 
 
-class _ScriptedRandom(random.Random):
-    """getrandbits over a fixed stream of 32-bit words, filled the way the
-    Mersenne Twister fills it: low words first, the last word keeping only
-    its top bits."""
-
-    def __init__(self, words):
-        super().__init__(0)
-        self.words = iter(words)
-
-    def getrandbits(self, k):
-        out, shift = 0, 0
-        while k > 0:
-            w = next(self.words)
-            out |= (w >> max(32 - k, 0)) << shift
-            shift, k = shift + 32, k - 32
-        return out
-
-
-def test_bulk_residues_match_rand_field():
-    # the dealer and the batch check draw residues in bulk; the draws must
-    # be the ones rand_field makes one at a time, leaving the same state
-    for seed in range(20):
-        a, b = random.Random(seed), random.Random(seed)
-        n = 1 + 37 * seed
-        assert _residues(a, n) == [rand_field(b) for _ in range(n)]
-        assert a.getrandbits(64) == b.getrandbits(64)
-    # two all-ones words give the candidate p itself, which is redrawn
-    top = 0xFFFFFFFF
-    words = [top, top, 5, 16, top, top, top, top, 1, 24, 3, 8]
-    a, b = _ScriptedRandom(words), _ScriptedRandom(words)
-    expected = [5 + (2 << 32), 1 + (3 << 32), 3 + (1 << 32)]
-    assert _residues(a, 3) == [rand_field(b) for _ in range(3)] == expected
+def test_dealer_keys_come_fresh_from_the_os():
+    # Delta is secret only if a dealer's key is: two dealers never share
+    # it unless a test hands both the same key
+    assert Dealer().delta != Dealer().delta
+    key = bytes(range(32))
+    assert Dealer(key).delta == Dealer(key).delta
+    dealer = Dealer(key)  # each draw expands a new counter
+    assert len({dealer.coin_seed() for _ in range(3)}) == 3
+    draws = _expand(b"seed", 10_000)
+    assert draws.dtype == np.uint64 and len(draws) == 10_000
+    assert int(draws.max()) < P
+    assert _expand(b"seed", 10_000).tolist() == draws.tolist()
+    assert _expand(b"seed", 4).tolist() == draws[:4].tolist()
 
 
 # -- sessions -------------------------------------------------------------------
 
 
-def run_two_party(prover_fn, verifier_fn, dealer_seed=0):
+def run_two_party(prover_fn, verifier_fn):
     """Run both roles in threads; return {role: result-or-exception}."""
     cp, cv = local_pair()
     out = {}
 
     def wrap(role, chan, fn):
-        sess = Session(role, chan, Dealer(dealer_seed) if role == VERIFIER else None)
+        sess = Session(role, chan, Dealer() if role == VERIFIER else None)
         try:
             out[role] = fn(sess)
         except Exception as exc:  # noqa: BLE001 - surfaced to asserts below
@@ -269,10 +250,10 @@ def test_pools_count_unconsumed_rows_across_frames():
     assert c == fmul(a, b)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_tampered_zero_claim_aborts(seed):
+@pytest.mark.parametrize("offset", range(5))
+def test_tampered_zero_claim_aborts(offset):
     def prover(s):
-        v = s.input_vec([18])[0]  # claims 17 below -> nonzero claim
+        v = s.input_vec([18 + offset])[0]  # claims 17 below -> nonzero claim
         s.assert_zero(s.lin_combine([1], [v], -17))
         return s.batch_check()
 
@@ -281,7 +262,7 @@ def test_tampered_zero_claim_aborts(seed):
         s.assert_zero(s.lin_combine([1], [v], -17))
         return s.batch_check()
 
-    out = run_two_party(prover, verifier, dealer_seed=seed)
+    out = run_two_party(prover, verifier)
     assert isinstance(out[PROVER], AbortError)
     assert isinstance(out[VERIFIER], AbortError)
 
@@ -316,8 +297,8 @@ def test_random_tag_forgeries_abort():
         return s.reveal(x)
 
     for _ in range(50):
-        forged = make_prover(rand_ext(rng), rng.randrange(1, P))
-        out = run_two_party(forged, verifier, dealer_seed=rng.randrange(2**30))
+        tag = (rng.randrange(P), rng.randrange(P))
+        out = run_two_party(make_prover(tag, rng.randrange(1, P)), verifier)
         assert isinstance(out[PROVER], AbortError)
         assert isinstance(out[VERIFIER], AbortError)
 
@@ -325,7 +306,7 @@ def test_random_tag_forgeries_abort():
 def test_local_channel_round_trip():
     a, b = local_pair()
     a.send(1, b"hello")
-    t, payload = b.recv()
+    t, payload = b.recv(5)
     assert (t, payload) == (1, b"hello")
     assert a.bytes_sent == b.bytes_received > 0
 
@@ -353,12 +334,12 @@ def test_verifier_pushes_preprocessing_unasked():
     # the verifier sizes each refill itself: with nothing from its peer,
     # input_vec(3) sends one dealer frame of _CHUNK prover rows, then waits
     cp, cv = local_pair(timeout=0.2)
-    v = Session(VERIFIER, cv, Dealer(0))
+    v = Session(VERIFIER, cv, Dealer())
     with pytest.raises(ChannelError, match="sent nothing"):
         v.input_vec(3)
     assert [(f.direction, f.msg_type) for f in cv.transcript] == \
         [("sent", MSG_DEALER_AUTH)]
-    t, payload = cp.recv()
+    t, payload = cp.recv(8 * 3 * _CHUNK)
     assert t == MSG_DEALER_AUTH and len(unpack_rows(payload, 3)) == _CHUNK
     # frame type 2 carries nothing: a stray [1, 0] where the input deltas
     # belong is a transport error, not a request for more rows
@@ -372,7 +353,7 @@ def test_verifier_pushes_preprocessing_unasked():
 def test_verifier_rejects_short_reveal():
     cp, cv = local_pair()
     cp.send(MSG_REVEAL, pack_fields([1, 2]))  # value and one tag half
-    v = Session(VERIFIER, cv, Dealer(0))
+    v = Session(VERIFIER, cv, Dealer())
     with pytest.raises(ChannelError, match="wanted 3"):
         v.reveal(v.public(1))
 
@@ -383,6 +364,29 @@ def test_prover_rejects_empty_verdict():
     p = Session(PROVER, cp)
     with pytest.raises(ChannelError, match="wanted 1"):
         p.reveal(p.public(1))
+
+
+def test_prover_rejects_short_coin_seed():
+    cp, cv = local_pair()
+    cv.send(MSG_CHECK_COINS, bytes(8))  # 8 of the 16 seed bytes
+    p = Session(PROVER, cp)
+    p.assert_zero(p.public(0))
+    with pytest.raises(ChannelError, match="coin seed of 8 bytes"):
+        p.batch_check()
+
+
+def test_oversized_header_rejected_before_payload():
+    # a header announcing 4 GiB, and no payload: recv must refuse it from
+    # the header alone instead of waiting to buffer it
+    a, b = local_pair(timeout=5.0)
+    a._send_raw(_HEADER.pack(MSG_INPUT_DELTA, 2**32 - 1))
+    t0 = time.monotonic()
+    with pytest.raises(ChannelError, match="announces 4294967295 bytes"):
+        b.recv(16)
+    assert time.monotonic() - t0 < 1.0
+    # a frame within the limit still arrives whole
+    a.send(MSG_INPUT_DELTA, pack_fields([7, 8]))
+    assert b.recv(16) == (MSG_INPUT_DELTA, pack_fields([7, 8]))
 
 
 def test_tcp_channel_sets_nodelay_and_round_trips():
@@ -409,9 +413,9 @@ def test_tcp_channel_sets_nodelay_and_round_trips():
             assert end._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         values = [0, 1, 2**32, P - 1]
         client.send(MSG_INPUT_DELTA, pack_fields(values))
-        assert srv.recv() == (MSG_INPUT_DELTA, pack_fields(values))
+        assert srv.recv(8 * len(values)) == (MSG_INPUT_DELTA, pack_fields(values))
         srv.send(MSG_INPUT_DELTA, pack_fields(values[::-1]))
-        t, payload = client.recv()
+        t, payload = client.recv(8 * len(values))
         assert (t, unpack_fields(payload)) == (MSG_INPUT_DELTA, values[::-1])
         assert client.bytes_sent == srv.bytes_received == 5 + 8 * len(values)
     finally:

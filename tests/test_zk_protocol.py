@@ -1,16 +1,21 @@
 import hashlib
+import os
 import threading
 
 import numpy as np
 import pytest
 
 from abstain_audit.calibration import AuditConfig
-from abstain_audit.itmac import P, Dealer, LocalChannel, Session, local_pair
+from abstain_audit.itmac import (P, ChannelError, Dealer, LocalChannel,
+                                 Session, local_pair)
+from abstain_audit.itmac.channel import MSG_HELLO
+from abstain_audit.itmac.field import eadd
 from abstain_audit.itmac.session import PROVER, VERIFIER
 from abstain_audit.nets import init_model
 from abstain_audit.zkaudit import (FixedPointParams, alpha_to_fixed, fx_audit,
                                    fx_bin, fx_confidence, quantize_model,
-                                   run_local_audit)
+                                   run_audit, run_local_audit)
+from abstain_audit.zkaudit import protocol
 from abstain_audit.zkaudit.circuit import Circuit, ZkArray, zk_bin_update
 from cheating_prover import (CIRCUIT_STRATEGIES, STRATEGIES,
                              run_cheating_audit)
@@ -31,18 +36,17 @@ def test_completeness_matches_plaintext_oracle():
     for seed in range(6):
         qm, X, y, cfg = _random_instance(seed)
         ok, _ = fx_audit(qm, X, y, cfg, FP)
-        pr, vr, _ = run_local_audit(qm, (X, y), cfg, FP, dealer_seed=seed)
+        pr, vr, _ = run_local_audit(qm, (X, y), cfg, FP)
         assert not pr.aborted and not vr.aborted
         assert pr.verdict == vr.verdict == ok
 
 
-# SHA-256 over every frame (header and payload) of the seeded audit below,
-# the prover's frames in order, then the verifier's.  Re-pinned when the
-# prover's four preprocessing-request frames (type 2) were retired: the
-# hash is the previous pin's transcript with exactly those frames left out,
-# and the prover's frame count fell from 1292 to 1288.
+# SHA-256 over every frame (header and payload) of the audit below, whose
+# dealer gets the fixed key GOLDEN_KEY, the prover's frames in order, then
+# the verifier's.
+GOLDEN_KEY = b"abstain-audit golden transcript"
 GOLDEN_TRANSCRIPT = \
-    "8f18c0ef50c3475fda2703e3a58bbcc22c616e105a4f12ea7cfdcec2141b61cb"
+    "fc604c7ddf0138fdc2402594fd1205304027d5163d679a1a68e59bfe2f1f9ed7"
 
 
 def test_golden_transcript(monkeypatch):
@@ -54,8 +58,9 @@ def test_golden_transcript(monkeypatch):
         send_raw(chan, data)
 
     monkeypatch.setattr(LocalChannel, "_send_raw", record)
+    monkeypatch.setattr(protocol, "Dealer", lambda: Dealer(GOLDEN_KEY))
     qm, X, y, cfg = _random_instance(0, dims=(2, 32, 3), n=4)
-    pr, vr, cv = run_local_audit(qm, (X, y), cfg, FP, dealer_seed=5)
+    pr, vr, cv = run_local_audit(qm, (X, y), cfg, FP)
     assert pr.verdict == vr.verdict == fx_audit(qm, X, y, cfg, FP)[0]
     (cp,) = set(sent) - {cv}
     h = hashlib.sha256()
@@ -67,7 +72,7 @@ def test_golden_transcript(monkeypatch):
 
 def test_verifier_transcript_single_plaintext_frame():
     qm, X, y, cfg = _random_instance(3)
-    _, vr, chan = run_local_audit(qm, (X, y), cfg, FP, dealer_seed=1)
+    _, vr, chan = run_local_audit(qm, (X, y), cfg, FP)
     disclosures = [f.disclosure for f in chan.transcript]
     assert disclosures.count("plaintext-value") == 1
     assert set(disclosures) <= {"public", "mac", "masked", "dealer-secret",
@@ -85,18 +90,56 @@ def test_reference_width_mismatch_raises():
 def test_each_tamper_strategy_aborts(strategy, monkeypatch):
     qm, X, y, cfg = _random_instance(7)
     pr, vr, _ = run_cheating_audit(monkeypatch, strategy, 2, qm, (X, y), cfg,
-                                   FP, dealer_seed=7)
+                                   FP)
     assert pr.aborted and vr.aborted
     assert pr.verdict is None and vr.verdict is None
 
 
-def _two_party_circuit(prover_fn, verifier_fn, dealer_seed=0):
+@pytest.mark.parametrize("shared_key", [False, True])
+def test_forged_verdict_needs_the_verifiers_delta(shared_key, monkeypatch):
+    # a prover honest but for the reveal, which turns the verdict bit 0
+    # into 1 with tag + Delta_guess: it passes only if Delta_guess is the
+    # verifier's Delta
+    qm = quantize_model(init_model([2, 4, 3], seed=0), FP)
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(0, 2, size=(6, 2)), rng.integers(0, 3, size=6)
+    cfg = AuditConfig(bins=15, alpha=0.02)
+    assert fx_audit(qm, X, y, cfg, FP)[0] is False
+    key = os.urandom(32)
+    delta_guess = Dealer(key).delta  # the forger's own dealer
+    if shared_key:  # control: the verifier's dealer has the forger's key
+        monkeypatch.setattr(protocol, "Dealer", lambda: Dealer(key))
+    honest_reveal = Session.reveal
+
+    def forged_reveal(sess, w):
+        if sess.prover:
+            w.value, w.mac = w.value + 1, eadd(w.mac, delta_guess)
+        return honest_reveal(sess, w)
+
+    monkeypatch.setattr(Session, "reveal", forged_reveal)
+    pr, vr, _ = run_local_audit(qm, (X, y), cfg, FP)
+    if shared_key:
+        assert not vr.aborted and pr.verdict is vr.verdict is True
+    else:
+        assert pr.aborted and vr.aborted and vr.verdict is None
+
+
+@pytest.mark.parametrize("blob", [b'{"dims": 5}', b"[1,2]", b"not json",
+                                  b'{"x": 1}'])
+def test_malformed_hello_is_a_parameter_mismatch(blob):
+    qm, X, y, cfg = _random_instance(0)
+    cp, cv = local_pair(timeout=5.0)
+    cp.send(MSG_HELLO, blob)
+    with pytest.raises(ChannelError, match="public-parameter mismatch"):
+        run_audit(VERIFIER, cv, None, (X, y), cfg, FP)
+
+
+def _two_party_circuit(prover_fn, verifier_fn):
     cp, cv = local_pair()
     out = {}
 
     def wrap(role, chan, fn):
-        sess = Session(role, chan,
-                       Dealer(dealer_seed) if role == VERIFIER else None)
+        sess = Session(role, chan, Dealer() if role == VERIFIER else None)
         circ = Circuit(sess, FP)
         out[role] = fn(circ, sess)
 
