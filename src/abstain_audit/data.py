@@ -238,8 +238,8 @@ def load_csv(path, schema: dict) -> Dataset:
 
     schema: {"label": name, "continuous": [names], "categorical": [names],
              "regression": bool (optional)}.
-    Categorical cells are integer-encoded in first-seen order; the embedding
-    dimension rule min(50, ceil((n_unique+1)/2)) is exposed on each ColumnSpec.
+    Categorical cells are integer-encoded in first-seen order; each
+    ColumnSpec lists its categories in code order.
     """
     try:
         with open(path, newline="") as fh:

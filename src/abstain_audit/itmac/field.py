@@ -19,8 +19,6 @@ def fmul(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # F_{p^2}: pairs (re, im)
 
-EXT_ZERO = (0, 0)
-
 
 def eadd(x, y):
     return ((x[0] + y[0]) % P, (x[1] + y[1]) % P)

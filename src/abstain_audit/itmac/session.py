@@ -2,17 +2,16 @@
 deferred batch MAC check.
 
 A session binds one prover and one verifier running the *same* deterministic
-op sequence in lockstep, talking only through the channel.  Every wire
-carries a MAC: the prover holds the tag M_x, the verifier the key K_x and
-the global Delta, with M_x = K_x + Delta*x in F_{p^2}.  Tag and key follow
-the same linear law, so each op has one code path over `Wire.mac`; the only
-difference is the MAC of the public constant 1 (`Session._one`): 0 on the
-prover, -Delta on the verifier.  The prover's `Wire.value` is the exact
-signed integer, reduced mod p only where it crosses the channel (input
-deltas, Beaver openings, reveal).  Multiplication consumes a dealer triple
-and opens masked differences; all correctness claims are deferred to
-batch_check, which verifies one random linear combination per batch
-(soundness error ~ 1/p^2).
+op sequence in lockstep, talking only through the channel.  A wire is one
+row of three residues mod p: [x, M_re, M_im] on the prover, [0, K_re, K_im]
+on the verifier, with the tag M = K + Delta*x in F_{p^2} and Delta known
+only to the verifier.  Prover row - verifier row = x*(1, Delta) for every
+wire, and every op is linear in the rows, so each op has one code path over
+the three columns; the only difference is the row of the public constant 1
+(`Session._one`): [1, 0, 0] on the prover, [0, -Delta] on the verifier.
+Multiplication consumes a dealer triple and opens masked differences; all
+correctness claims are deferred to batch_check, which verifies one random
+linear combination per batch (soundness error ~ 1/p^2).
 
 The dealer is co-located with the verifier and keyed from os.urandom, so
 the prover cannot rebuild Delta, the keys or the coins (soundness needs
@@ -26,13 +25,12 @@ row count.
 
 import hashlib
 import os
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
 from . import channel as ch
-from .field import P, EXT_ZERO, eadd, escale
+from .field import P, eadd, escale
 
 PROVER = "prover"
 VERIFIER = "verifier"
@@ -43,17 +41,6 @@ _COIN_SEED = 16  # bytes of a batch check's coin seed
 
 class AbortError(RuntimeError):
     """MAC or consistency check failed: the run ends with no verdict."""
-
-
-class Wire:
-    """One authenticated wire: `mac` is the prover's tag or the verifier's
-    key; `value` is the prover's exact signed value, None on the verifier."""
-
-    __slots__ = ("mac", "value")
-
-    def __init__(self, mac, value=None):
-        self.mac = mac
-        self.value = value
 
 
 def _expand(seed: bytes, n: int) -> np.ndarray:
@@ -88,7 +75,7 @@ class Dealer:
     expanded from key || draw counter; the key is 32 OS bytes unless a test
     passes one.  Randoms and triples come as uint64 row arrays: the
     prover's rows hold [x, tag_re, tag_im] per value, the verifier's
-    [key_re, key_im]."""
+    [0, key_re, key_im]."""
 
     def __init__(self, key: bytes | None = None):
         self._key = os.urandom(32) if key is None else key
@@ -103,13 +90,13 @@ class Dealer:
         return hashlib.shake_256(self._next_seed()).digest(_COIN_SEED)
 
     def _authenticate(self, x: np.ndarray, keys: np.ndarray):
-        """x (n, m) values, keys (n, m, 2) -> prover rows (n, 3m) and key
-        rows (n, 2m), with tags k + Delta*x."""
+        """x (n, m) values, keys (n, m, 2) -> prover rows [x, tag] and
+        verifier rows [0, key], each (n, 3m), with tags k + Delta*x."""
         tags = _reduce(keys + _mul_mod(x[..., None],
                                        np.array(self.delta, np.uint64)))
         n = len(x)
         return (np.concatenate([x[..., None], tags], axis=2).reshape(n, -1),
-                keys.reshape(n, -1))
+                np.pad(keys, [(0, 0), (0, 0), (1, 0)]).reshape(n, -1))
 
     def make_auth(self, n: int):
         # per item the draw holds r, then its key
@@ -150,11 +137,11 @@ class Session:
         self.ch = channel
         self.dealer = dealer
         self.delta = dealer.delta if dealer else None
-        self._one = EXT_ZERO if self.prover else escale(self.delta, -1)
+        # the row of the public constant 1
+        self._one = (1, 0, 0) if self.prover else (0, *escale(self.delta, -1))
         # unconsumed preprocessing rows: dealer randoms, Beaver triples
-        width = 3 if self.prover else 2
-        self._auth_pool = np.zeros((0, width * _AUTH.m), np.uint64)
-        self._triple_pool = np.zeros((0, width * _TRIPLE.m), np.uint64)
+        self._auth_pool = np.zeros((0, 3 * _AUTH.m), np.uint64)
+        self._triple_pool = np.zeros((0, 3 * _TRIPLE.m), np.uint64)
         self._pending = []  # MACs of wires claimed to be zero
 
     # -- preprocessing -----------------------------------------------------
@@ -176,9 +163,8 @@ class Session:
 
     def _take(self, kind: _Kind, n: int):
         """The next n rows of `kind`, refilling by max(shortfall, _CHUNK)
-        when the pool runs short, as columns (values, macs): values[j] is
-        the prover's column of value j (None on the verifier), macs[2j] and
-        macs[2j+1] its MAC halves."""
+        when the pool runs short; columns 3j..3j+2 of a row are the wire of
+        its value j."""
         pool = getattr(self, kind.pool)
         short = n - len(pool)
         if short > 0:
@@ -187,11 +173,7 @@ class Session:
         else:
             rows, rest = pool[:n], pool[n:]
         setattr(self, kind.pool, rest)
-        cols = rows.T.tolist()
-        if not self.prover:  # [key_re, key_im] per value
-            return None, cols
-        # [x, tag_re, tag_im] per value
-        return cols[0::3], [c for i, c in enumerate(cols) if i % 3]
+        return rows.tolist()
 
     @staticmethod
     def _expect(msg_type: int, wanted: int) -> None:
@@ -213,82 +195,79 @@ class Session:
 
     # -- wires ---------------------------------------------------------------
 
-    def public(self, v: int) -> Wire:
-        """A constant both parties know: tag 0, key -Delta*v."""
-        return Wire(escale(self._one, v), v if self.prover else None)
+    def public(self, v: int):
+        """A constant both parties know: v times the row of 1."""
+        o0, o1, o2 = self._one
+        return (o0 * v % P, o1 * v % P, o2 * v % P)
 
-    def input_vec(self, xs) -> list[Wire]:
+    def input_vec(self, xs):
         """Prover feeds hidden values in; verifier passes the expected count.
         Each wire is a dealer random r plus the public delta x - r."""
         n = xs if isinstance(xs, int) else len(xs)
-        values, (m0, m1) = self._take(_AUTH, n)
+        rows = self._take(_AUTH, n)
         if self.prover:
-            deltas = [(x - r) % P for x, r in zip(xs, values[0])]
+            deltas = [(x - r[0]) % P for x, r in zip(xs, rows)]
             self.ch.send(ch.MSG_INPUT_DELTA, ch.pack_fields(deltas))
         else:
             deltas = self._recv_fields(ch.MSG_INPUT_DELTA, n)
-            xs = [None] * n
-        one_re, one_im = self._one
-        return [Wire(((r0 + d * one_re) % P, (r1 + d * one_im) % P), x)
-                for x, r0, r1, d in zip(xs, m0, m1, deltas)]
+        o0, o1, o2 = self._one
+        return [((r0 + d * o0) % P, (r1 + d * o1) % P, (r2 + d * o2) % P)
+                for (r0, r1, r2), d in zip(rows, deltas)]
 
-    def lin_combine(self, coeffs, wires, const: int = 0) -> Wire:
+    def lin_combine(self, coeffs, wires, const: int = 0):
         """const + sum(c * w) for public (signed) coefficients."""
         if len(coeffs) != len(wires):
             raise ValueError("coeffs and wires must have equal length")
-        # accumulate the MAC unreduced and reduce once
-        re, im = self._one[0] * const, self._one[1] * const
-        for c, w in zip(coeffs, wires):
-            m = w.mac
-            re += c * m[0]
-            im += c * m[1]
-        value = None
-        if self.prover:
-            value = const + sum(map(mul, coeffs, [w.value for w in wires]))
-        return Wire((re % P, im % P), value)
+        # accumulate unreduced and reduce once
+        o0, o1, o2 = self._one
+        s0, s1, s2 = o0 * const, o1 * const, o2 * const
+        for c, (w0, w1, w2) in zip(coeffs, wires):
+            s0 += c * w0
+            s1 += c * w1
+            s2 += c * w2
+        return (s0 % P, s1 % P, s2 % P)
 
-    def add(self, x: Wire, y: Wire) -> Wire:
+    def add(self, x, y):
         return self.lin_combine([1, 1], [x, y])
 
-    def sub(self, x: Wire, y: Wire) -> Wire:
+    def sub(self, x, y):
         return self.lin_combine([1, -1], [x, y])
 
-    def multiply_vec(self, xs, ys) -> list[Wire]:
+    def multiply_vec(self, xs, ys):
         """Beaver multiplication, one opening frame for the whole batch."""
         n = len(xs)
         if len(ys) != n:
             raise ValueError("batch length mismatch")
-        values, macs = self._take(_TRIPLE, n)
+        rows = self._take(_TRIPLE, n)
         if self.prover:
             opens = []
-            for x, y, a, b in zip(xs, ys, values[0], values[1]):
-                opens.append((x.value - a) % P)
-                opens.append((y.value - b) % P)
+            for x, y, t in zip(xs, ys, rows):
+                opens.append((x[0] - t[0]) % P)
+                opens.append((y[0] - t[3]) % P)
             self.ch.send(ch.MSG_OPEN_MASKED, ch.pack_fields(opens))
         else:
             opens = self._recv_fields(ch.MSG_OPEN_MASKED, 2 * n)
-        one_re, one_im = self._one
+        o0, o1, o2 = self._one
         out, pending = [], self._pending
-        for i, (x, y, a0, a1, b0, b1, c0, c1) in enumerate(zip(xs, ys, *macs)):
-            d, e = opens[2 * i], opens[2 * i + 1]
-            (x0, x1), (y0, y1) = x.mac, y.mac
+        for x, y, (a0, a1, a2, b0, b1, b2, c0, c1, c2), d, e in zip(
+                xs, ys, rows, opens[0::2], opens[1::2]):
             de = d * e % P
             # z = c + d*b + e*a + d*e
-            mac = ((c0 + d * b0 + e * a0 + de * one_re) % P,
-                   (c1 + d * b1 + e * a1 + de * one_im) % P)
-            out.append(Wire(mac, x.value * y.value if self.prover else None))
+            out.append(((c0 + d * b0 + e * a0 + de * o0) % P,
+                        (c1 + d * b1 + e * a1 + de * o1) % P,
+                        (c2 + d * b2 + e * a2 + de * o2) % P))
             # claims (MACs, unreduced): the openings really were x-a and y-b
-            pending.append((x0 - a0 - d * one_re, x1 - a1 - d * one_im))
-            pending.append((y0 - b0 - e * one_re, y1 - b1 - e * one_im))
+            pending.append((x[1] - a1 - d * o1, x[2] - a2 - d * o2))
+            pending.append((y[1] - b1 - e * o1, y[2] - b2 - e * o2))
         return out
 
-    def multiply(self, x: Wire, y: Wire) -> Wire:
+    def multiply(self, x, y):
         return self.multiply_vec([x], [y])[0]
 
     # -- verification --------------------------------------------------------
 
-    def assert_zero(self, w: Wire) -> None:
-        self._pending.append(w.mac)
+    def assert_zero(self, w) -> None:
+        self._pending.append(w[1:])
 
     def batch_check(self) -> bool:
         """Check all pending zero claims with one random combination."""
@@ -324,14 +303,13 @@ class Session:
         self.ch.send(ch.MSG_CHECK_OK)
         return True
 
-    def reveal(self, w: Wire) -> int:
+    def reveal(self, w) -> int:
         """Immediate MAC-checked opening; the one place plaintext crosses."""
         if self.prover:
-            self.ch.send(ch.MSG_REVEAL,
-                         ch.pack_fields([w.value % P, w.mac[0], w.mac[1]]))
+            self.ch.send(ch.MSG_REVEAL, ch.pack_fields(w))
             return self._recv_fields(ch.MSG_VERDICT, 1)[0]
         x, tre, tim = self._recv_fields(ch.MSG_REVEAL, 3)
-        if (tre, tim) != eadd(w.mac, escale(self.delta, x)):
+        if (tre, tim) != eadd(w[1:], escale(self.delta, x)):
             self.ch.send(ch.MSG_ABORT)
             raise AbortError("reveal MAC mismatch")
         self.ch.send(ch.MSG_VERDICT, ch.pack_fields([x]))

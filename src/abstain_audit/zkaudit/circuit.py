@@ -1,13 +1,13 @@
 """Authenticated-arithmetic gadgets mirroring the fixed-point pipeline.
 
-Gadgets act on the session's wires (`itmac.session.Wire`): on the prover a
-wire carries its exact signed value next to its MAC, on the verifier only
-the MAC.  The prover's values reproduce fixedpoint.py exactly and are where
+Gadgets act on the session's wires, rows of residues mod p
+(`itmac.session`): a wire's first column is its value on the prover and 0
+on the verifier.  The prover's values reproduce fixedpoint.py and are where
 witnesses (bits, quotients, reciprocals, one-hot selectors) come from; the
-MACs turn each witness into boolean / range / recomposition claims that the
-batch MAC check enforces.  A cheating prover can feed in any witnesses it
-likes; it cannot make a false claim survive batch_check except with
-probability ~1/p^2.
+MAC columns turn each witness into boolean / range / recomposition claims
+that the batch MAC check enforces.  A cheating prover can feed in any
+witnesses it likes; it cannot make a false claim survive batch_check except
+with probability ~1/p^2.
 
 Two rules keep the claims meaning what fixedpoint.py computes:
 
@@ -17,20 +17,29 @@ Two rules keep the claims meaning what fixedpoint.py computes:
   proven booleans) guarantee, and says where they are proven.  With every
   operand bounded, no claim wraps mod p, so field equalities are integer
   equalities.
-- Exact-integer rule.  A prover's wire value is the exact signed integer
-  fixedpoint.py has, never a residue that is only congruent to it: later
-  witnesses are derived from these values.  A quantity that is only known
-  mod p (w * w^-1, say) must not become a wire value; commit the intended
-  integer as a witness and prove the relation instead (see `is_zero`).
+- Lift rule.  Witnesses come from the signed lift of a wire's value
+  (`_signed`: x - p if x > p/2), and the lift equals the oracle's integer
+  when |x| < p/2.  Hidden-layer products wrap mod p, but the accumulators
+  derived from them do not: the prover's run_audit runs fx_forward on every
+  reference point first, which holds each accumulator within the range
+  `rescale` proves.  A quantity that is only known mod p (w * w^-1, say)
+  must not be lifted into a witness; commit the intended integer as a
+  witness and prove the relation instead (see `is_zero`).
 """
 
 from ..itmac.field import P
-from ..itmac.session import Session, Wire
-from .fixedpoint import FixedPointParams, fx_exp_index
+from ..itmac.session import Session
+from .fixedpoint import FixedPointParams
+
+
+def _signed(w) -> int:
+    """The prover's value of wire w as a signed integer."""
+    x = w[0]
+    return x - P if x > P // 2 else x
 
 
 class Circuit:
-    """Gadget toolbox bound to one session.  Wire plumbing (inputs,
+    """Gadget toolbox bound to one session.  The wire plumbing (inputs,
     constants, linear combinations, products, zero claims) is the
     session's own."""
 
@@ -43,7 +52,7 @@ class Circuit:
         self.mul, self.mul_vec = sess.multiply, sess.multiply_vec
         self.assert_zero = sess.assert_zero
 
-    def witness(self, value) -> Wire:
+    def witness(self, value):
         return self.witness_vec([value] if self.prover else 1)[0]
 
     # -- boolean / range gadgets ----------------------------------------------
@@ -53,11 +62,12 @@ class Circuit:
         for prod in self.mul_vec(bits, minus_one):
             self.assert_zero(prod)
 
-    def decompose(self, w: Wire, nbits: int) -> list[Wire]:
+    def decompose(self, w, nbits: int):
         """Prover supplies the nbits-bit decomposition; recomposition is
         pinned to the wire, so wrong bits cannot survive."""
         if self.prover:
-            bits = self.witness_vec([(w.value >> i) & 1 for i in range(nbits)])
+            v = _signed(w)
+            bits = self.witness_vec([(v >> i) & 1 for i in range(nbits)])
         else:
             bits = self.witness_vec(nbits)
         self.assert_bool_vec(bits)
@@ -65,16 +75,15 @@ class Circuit:
         self.assert_zero(self.sub(recomp, w))
         return bits
 
-    def range_check(self, w: Wire, nbits: int) -> None:
+    def range_check(self, w, nbits: int) -> None:
         self.decompose(w, nbits)
 
-    def divide(self, w: Wire, k: int, qbits: int,
-               q_offset: int = 0) -> tuple[Wire, list[Wire]]:
+    def divide(self, w, k: int, qbits: int, q_offset: int = 0):
         """floor(w / 2^k): witness q and r = w mod 2^k, check w = q*2^k + r
         with r in k bits and q + q_offset in qbits bits.  Returns q and the
         bits of q + q_offset."""
         if self.prover:
-            qw, rw = self.witness_vec(list(divmod(w.value, 1 << k)))
+            qw, rw = self.witness_vec(list(divmod(_signed(w), 1 << k)))
         else:
             qw, rw = self.witness_vec(2)
         self.range_check(rw, k)
@@ -82,20 +91,20 @@ class Circuit:
         self.assert_zero(self.lin([1 << k, 1, -1], [qw, rw, w]))
         return qw, bits
 
-    def lt(self, x: Wire, y: Wire, nbits: int) -> Wire:
+    def lt(self, x, y, nbits: int):
         """1 iff x < y, for -2^nbits < y - x <= 2^nbits: the top bit of
         y - x - 1 + 2^nbits, proven by an (nbits+1)-bit decomposition."""
         v = self.lin([1, -1], [y, x], (1 << nbits) - 1)
         return self.decompose(v, nbits + 1)[nbits]
 
-    def is_zero(self, w: Wire) -> Wire:
+    def is_zero(self, w):
         """1 iff w == 0 (|w| < p).  The prover commits e = [w == 0] and
         inv = w^-1 mod p (0 when w == 0); w*inv = 1 - e and e*w = 0 pin e.
         e is a witness rather than 1 - w*inv, whose integer value is only
         congruent to 0 or 1."""
         if self.prover:
-            e = int(w.value % P == 0)
-            e_w, inv = self.witness_vec([e, 0 if e else pow(w.value, -1, P)])
+            e = int(w[0] == 0)
+            e_w, inv = self.witness_vec([e, 0 if e else pow(w[0], -1, P)])
         else:
             e_w, inv = self.witness_vec(2)
         w_inv, e_times_w = self.mul_vec([w, e_w], [inv, w])
@@ -103,15 +112,15 @@ class Circuit:
         self.assert_zero(e_times_w)
         return e_w
 
-    def select(self, b: Wire, x: Wire, y: Wire) -> Wire:
+    def select(self, b, x, y):
         """b*x + (1-b)*y for a proven boolean b."""
         return self.add(y, self.mul(b, self.sub(x, y)))
 
-    def relu(self, q: Wire, nonneg: Wire) -> Wire:
+    def relu(self, q, nonneg):
         """max(q, 0), given the proven bit nonneg = [q >= 0] from rescale."""
         return self.mul(q, nonneg)
 
-    def rescale(self, w: Wire) -> tuple[Wire, Wire]:
+    def rescale(self, w):
         """(q, [q >= 0]) for q = floor(w / 2^f) in signed ell-bit range:
         q + 2^{ell-1} is decomposed into ell bits, whose top bit is the
         sign."""
@@ -121,7 +130,7 @@ class Circuit:
 
     # -- model layers ----------------------------------------------------------
 
-    def linear_public_input(self, W_wires, b_wires, x_ints) -> list[Wire]:
+    def linear_public_input(self, W_wires, b_wires, x_ints):
         """First layer when the reference point is public: the inputs act as
         coefficients over committed weights -- no triples consumed."""
         out = []
@@ -129,7 +138,7 @@ class Circuit:
             out.append(self.lin(list(x_ints) + [self.fp.scale], row + [bias]))
         return out
 
-    def linear_hidden(self, W_wires, b_wires, h) -> list[Wire]:
+    def linear_hidden(self, W_wires, b_wires, h):
         """Hidden x hidden matmul: one batched multiply per layer."""
         n_out, n_in = len(W_wires), len(h)
         flat_w = [w for row in W_wires for w in row]
@@ -141,7 +150,7 @@ class Circuit:
             out.append(self.lin([1] * n_in + [self.fp.scale], row + [bias]))
         return out
 
-    def layer(self, W_wires, b_wires, h, x_public=None, final=False) -> list[Wire]:
+    def layer(self, W_wires, b_wires, h, x_public=None, final=False):
         if x_public is not None:
             acc = self.linear_public_input(W_wires, b_wires, x_public)
         else:
@@ -151,7 +160,7 @@ class Circuit:
             return [q for q, _ in out]
         return [self.relu(q, nonneg) for q, nonneg in out]
 
-    def argmax(self, logits) -> tuple[Wire, Wire]:
+    def argmax(self, logits):
         """(max, argmax) by tournament; strict lt keeps the lowest index.
         Logits are rescale outputs, proven within signed ell bits."""
         best, idx = logits[0], self.public(0)
@@ -163,11 +172,12 @@ class Circuit:
 
     # -- table reads -------------------------------------------------------------
 
-    def one_hot(self, idx: Wire, size: int) -> list[Wire]:
+    def one_hot(self, idx, size: int):
         """Prover-supplied selector: booleans summing to 1 whose index-weighted
         sum equals idx."""
         if self.prover:
-            sel = self.witness_vec([int(j == idx.value) for j in range(size)])
+            i = _signed(idx)
+            sel = self.witness_vec([int(j == i) for j in range(size)])
         else:
             sel = self.witness_vec(size)
         self.assert_bool_vec(sel)
@@ -175,14 +185,14 @@ class Circuit:
         self.assert_zero(self.sub(self.lin(list(range(size)), sel), idx))
         return sel
 
-    def table_read(self, table: list[int], idx: Wire) -> Wire:
+    def table_read(self, table: list[int], idx):
         """Hidden-index read of a public table, factored through two 2^(n/2)
         one-hots so the boolean work stays square-root sized."""
         size = len(table)
         lo_sz = 1 << ((size - 1).bit_length() // 2)
         hi_sz = (size + lo_sz - 1) // lo_sz
         if self.prover:
-            hi_w, lo_w = self.witness_vec(list(divmod(idx.value, lo_sz)))
+            hi_w, lo_w = self.witness_vec(list(divmod(_signed(idx), lo_sz)))
         else:
             hi_w, lo_w = self.witness_vec(2)
         self.assert_zero(self.lin([lo_sz, 1, -1], [hi_w, lo_w, idx]))
@@ -199,7 +209,7 @@ class Circuit:
 
     # -- confidence --------------------------------------------------------------
 
-    def confidence(self, logits, table: list[int]) -> tuple[Wire, Wire]:
+    def confidence(self, logits, table: list[int]):
         """(p_hat, y_hat) from the committed logits, mirroring
         fixedpoint.fx_confidence bit-exactly."""
         fp = self.fp
@@ -217,13 +227,11 @@ class Circuit:
             high = bits[fp.table_bits:]
             in_range = self.is_zero(self.lin([1] * len(high), high))
             idx = self.select(in_range, qw, self.public(fp.table_size - 1))
-            if self.prover:
-                assert idx.value == fx_exp_index(-neg_d.value, fp)
             terms.append(self.table_read(table, idx))
         S = self.lin([1] * len(terms), terms)
         return self.reciprocal(S, len(terms) * max(table)), y_hat
 
-    def reciprocal(self, S: Wire, s_max: int) -> Wire:
+    def reciprocal(self, S, s_max: int):
         """p_hat = floor((2^{2f} + floor(S/2)) / S) exactly, for a sum of
         table entries 1 <= S <= s_max.  Witnesses h, s0, p_hat, rem with
         S = 2h + s0 (s0 boolean), p_hat*S + rem = 2^{2f} + h, rem and
@@ -234,8 +242,9 @@ class Circuit:
         fp = self.fp
         target, k = 1 << (2 * fp.f), s_max.bit_length()
         if self.prover:
-            h, s0 = divmod(S.value, 2)
-            vals = [h, s0, *divmod(target + h, S.value)]
+            s = _signed(S)
+            h, s0 = divmod(s, 2)
+            vals = [h, s0, *divmod(target + h, s)]
             h, s0, p_hat, rem = self.witness_vec(vals)
         else:
             h, s0, p_hat, rem = self.witness_vec(4)
@@ -248,11 +257,11 @@ class Circuit:
         self.assert_zero(self.lin([1, 1, -1], [prod, rem, h], -target))
         return p_hat
 
-    def equals(self, x: Wire, y: Wire) -> Wire:
+    def equals(self, x, y):
         """1 iff x == y."""
         return self.is_zero(self.sub(x, y))
 
-    def bin_index(self, p_hat: Wire, bins: int) -> Wire:
+    def bin_index(self, p_hat, bins: int):
         """min(floor(bins * p_hat / 2^f), bins - 1), mirroring fx_bin.
         p_hat is range-checked to f + 1 bits, so the quotient is below
         2 * bins and fits qbits bits."""
@@ -270,17 +279,16 @@ class ZkArray:
         self.size = size
         self.entries = [circuit.public(0) for _ in range(size)]
 
-    def add_at(self, selector: list[Wire], inc: Wire) -> None:
+    def add_at(self, selector, inc) -> None:
         """entries[k] += selector[k] * inc for a proven one-hot selector."""
         prods = self.c.mul_vec(selector, [inc] * self.size)
         self.entries = [self.c.add(e, p) for e, p in zip(self.entries, prods)]
 
-    def add_count(self, selector: list[Wire]) -> None:
+    def add_count(self, selector) -> None:
         self.entries = [self.c.add(e, s) for e, s in zip(self.entries, selector)]
 
 
-def zk_bin_update(circuit: Circuit, arrays, b: Wire, p_hat: Wire,
-                  eq: Wire) -> None:
+def zk_bin_update(circuit: Circuit, arrays, b, p_hat, eq) -> None:
     """Scatter one audited point into (count, conf, acc) at hidden bin b."""
     count_arr, conf_arr, acc_arr = arrays
     sel = circuit.one_hot(b, count_arr.size)
@@ -289,8 +297,7 @@ def zk_bin_update(circuit: Circuit, arrays, b: Wire, p_hat: Wire,
     acc_arr.add_at(sel, circuit.lin([circuit.fp.scale], [eq]))
 
 
-def zk_bin_check(circuit: Circuit, arrays, alpha_fx: int,
-                 n_points: int) -> Wire:
+def zk_bin_check(circuit: Circuit, arrays, alpha_fx: int, n_points: int):
     """Per-bin |acc - conf| <= alpha * count over public bin indices, ANDed
     into the single pass flag."""
     count_arr, conf_arr, acc_arr = arrays
@@ -304,7 +311,7 @@ def zk_bin_check(circuit: Circuit, arrays, alpha_fx: int,
     for k in range(count_arr.size):
         diff = circuit.sub(acc_arr.entries[k], conf_arr.entries[k])
         if circuit.prover:
-            sign = circuit.witness(int(diff.value >= 0))
+            sign = circuit.witness(int(_signed(diff) >= 0))
         else:
             sign = circuit.witness(1)
         circuit.assert_bool_vec([sign])

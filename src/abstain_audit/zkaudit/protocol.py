@@ -20,7 +20,7 @@ from ..itmac import channel as ch
 from ..itmac.session import PROVER, VERIFIER, AbortError, Dealer, Session
 from .circuit import Circuit, ZkArray, zk_bin_check, zk_bin_update
 from .fixedpoint import (FixedPointParams, QuantizedModel, alpha_to_fixed,
-                         quantize_vec)
+                         fx_forward, quantize_vec)
 
 _HELLO_MAX = 64 * 1024  # bytes a hello blob may announce
 
@@ -39,7 +39,7 @@ def _ref_digest(X_int, y) -> int:
     h = hashlib.sha256()
     for row, label in zip(X_int, y):
         h.update(ch.pack_fields([v % (1 << 64) for v in row]))
-        h.update(int(label).to_bytes(8, "little"))
+        h.update((int(label) % (1 << 64)).to_bytes(8, "little"))
     return int.from_bytes(h.digest()[:8], "little")
 
 
@@ -69,6 +69,10 @@ def run_audit(role: str, channel, qm: QuantizedModel | None, ref,
     n_points = len(X_int)
     digest = _ref_digest(X_int, y)
     if prover:
+        # every accumulator must stay in the range rescale proves, or the
+        # wire values the witnesses come from wrap mod p
+        for x_i in X_int:
+            fx_forward(qm, x_i, fp)
         dims = qm.layer_dims
         blob = _hello_blob(dims, n_points, cfg, fp, digest)
         channel.send(ch.MSG_HELLO, blob)

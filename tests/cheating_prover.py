@@ -1,14 +1,15 @@
 """A cheating prover for the soundness tests.
 
-Most strategies change a wire's value behind its MAC.  PHAT_UP and
-PHAT_DOWN instead commit a p_hat one ulp off, with a remainder that keeps
-p_hat * S + rem unchanged, so only the remainder's range checks can catch
-them.  The deviations live in a `Circuit` subclass plus a
+Most strategies change a wire's value behind its MAC (`with_value`).
+PHAT_UP and PHAT_DOWN instead commit a p_hat one ulp off, with a remainder
+that keeps p_hat * S + rem unchanged, so only the remainder's range checks
+can catch them.  The deviations live in a `Circuit` subclass plus a
 wrapped `zk_bin_update`, swapped into `zkaudit.protocol` for one local
 audit, so the protocol body carries no adversary hooks.  On the verifier's
 side the subclass is the honest circuit.
 """
 
+from abstain_audit.itmac import P
 from abstain_audit.zkaudit import protocol
 from abstain_audit.zkaudit.circuit import Circuit, zk_bin_update
 from abstain_audit.zkaudit.fixedpoint import quantize_vec
@@ -27,6 +28,11 @@ PHAT_DOWN = "phat-down"      # commit p_hat - 1 ulp, rem + S keeps p_hat*S + rem
 RELU_SIGN = "relu-sign"      # multiply by the flipped sign bit of rescale
 
 CIRCUIT_STRATEGIES = (PHAT_UP, PHAT_DOWN, RELU_SIGN)
+
+
+def with_value(w, x):
+    """The prover's wire w with its value replaced by x and its tag kept."""
+    return (x % P, *w[1:])
 
 
 class CheatingCircuit(Circuit):
@@ -50,12 +56,13 @@ class CheatingCircuit(Circuit):
             # keep the commitment, but compute all later values from a
             # model whose first weight was nudged: the committed linear
             # relations no longer hold and the batch check must catch it
-            W_wires[0][0].value += 1 << (self.fp.f - 2)
+            w = W_wires[0][0]
+            W_wires[0][0] = with_value(w, w[0] + (1 << (self.fp.f - 2)))
         return super().linear_public_input(W_wires, b_wires, x_ints)
 
     def relu(self, q, nonneg):
         if self.cheats(RELU_SIGN):
-            nonneg.value ^= 1
+            nonneg = with_value(nonneg, nonneg[0] ^ 1)
         return super().relu(q, nonneg)
 
     def reciprocal(self, S, s_max):
@@ -66,7 +73,7 @@ class CheatingCircuit(Circuit):
             def shifted_witnesses(vals):  # the (h, s0, p_hat, rem) batch
                 self.witness_vec = honest
                 h, s0, p_hat, rem = vals
-                return honest([h, s0, p_hat + step, rem - step * S.value])
+                return honest([h, s0, p_hat + step, rem - step * S[0]])
 
             self.witness_vec = shifted_witnesses
         return super().reciprocal(S, s_max)
@@ -74,13 +81,14 @@ class CheatingCircuit(Circuit):
     def confidence(self, logits, table):
         p_hat, y_hat = super().confidence(logits, table)
         if self.cheats(LIE_PHAT):
-            p_hat.value += 1 << (self.fp.f - 3)  # claim higher confidence
+            # claim higher confidence
+            p_hat = with_value(p_hat, p_hat[0] + (1 << (self.fp.f - 3)))
         return p_hat, y_hat
 
 
 def _bin_update(circuit, arrays, b, p_hat, eq):
     if circuit.cheats(WRONG_BIN):
-        b.value = (b.value + 1) % arrays[0].size
+        b = with_value(b, (b[0] + 1) % arrays[0].size)
     zk_bin_update(circuit, arrays, b, p_hat, eq)
 
 

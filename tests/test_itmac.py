@@ -16,9 +16,10 @@ from abstain_audit.itmac.channel import (_HEADER, MSG_CHECK_COINS,
                                          MSG_VERDICT, ChannelError, TcpChannel,
                                          pack_fields, unpack_fields,
                                          unpack_rows)
-from abstain_audit.itmac.field import EXT_ZERO, eadd, emul, escale, fmul
+from abstain_audit.itmac.field import eadd, emul, escale, fmul
 from abstain_audit.itmac.session import (_AUTH, _CHUNK, _TRIPLE, _expand,
                                          _mul_mod)
+from cheating_prover import with_value
 
 felems = st.integers(0, P - 1)
 
@@ -40,7 +41,7 @@ def test_extension_field_axioms(a, b, c, s):
     assert eadd(a, b) == eadd(b, a)
     assert emul(a, b) == emul(b, a)
     assert emul(a, eadd(b, c)) == eadd(emul(a, b), emul(a, c))
-    assert eadd(a, escale(a, -1)) == EXT_ZERO and eadd(a, EXT_ZERO) == a
+    assert eadd(a, escale(a, -1)) == (0, 0) and eadd(a, (0, 0)) == a
     assert escale(a, s) == emul(a, (s, 0))
 
 
@@ -61,20 +62,20 @@ def test_mac_relation_hand_example():
 def test_mac_relation_fuzzed():
     dealer = Dealer()
     prover_part, keys = dealer.make_auth(10_000)
-    assert prover_part.shape == (10_000, 3) and keys.shape == (10_000, 2)
-    for (x, *tag), key in zip(prover_part.tolist(), keys.tolist()):
-        assert tuple(tag) == eadd(key, escale(dealer.delta, x))
+    assert prover_part.shape == keys.shape == (10_000, 3)
+    for (x, *tag), (zero, *key) in zip(prover_part.tolist(), keys.tolist()):
+        assert zero == 0 and tuple(tag) == eadd(key, escale(dealer.delta, x))
 
 
 def test_dealer_triples_multiply():
     dealer = Dealer()
     prover_part, keys = dealer.make_triples(200)
-    assert prover_part.shape == (200, 9) and keys.shape == (200, 6)
+    assert prover_part.shape == keys.shape == (200, 9)
     for row, key_row in zip(prover_part.tolist(), keys.tolist()):
         a, b, c = row[0::3]
-        assert c == fmul(a, b)
+        assert c == fmul(a, b) and key_row[0::3] == [0, 0, 0]
         for j in range(3):
-            tag, key = row[3 * j + 1:3 * j + 3], key_row[2 * j:2 * j + 2]
+            tag, key = row[3 * j + 1:3 * j + 3], key_row[3 * j + 1:3 * j + 3]
             assert tuple(tag) == eadd(key, escale(dealer.delta, row[3 * j]))
 
 
@@ -221,17 +222,16 @@ def test_pools_count_unconsumed_rows_across_frames():
     # (a third): len() of each pool stays the number of rows not yet taken
     steps = (3, 8190, 8192)
 
-    def as_wires(values, macs):
-        # (value, mac) per taken value, row by row
-        return [(values[j][i] if values else None,
-                 (macs[2 * j][i], macs[2 * j + 1][i]))
-                for i in range(len(macs[0])) for j in range(len(macs) // 2)]
+    def as_wires(rows):
+        # the wire of each taken value, row by row
+        return [tuple(row[j:j + 3]) for row in rows
+                for j in range(0, len(row), 3)]
 
     def body(s):
         taken, lens = [], []
         for n in steps:
-            taken += as_wires(*s._take(_AUTH, n))
-            taken += as_wires(*s._take(_TRIPLE, n))
+            taken += as_wires(s._take(_AUTH, n))
+            taken += as_wires(s._take(_TRIPLE, n))
             lens.append((len(s._auth_pool), len(s._triple_pool)))
         frames = [f.msg_type for f in s.ch.transcript]
         return (taken, lens, frames.count(MSG_DEALER_AUTH),
@@ -244,9 +244,9 @@ def test_pools_count_unconsumed_rows_across_frames():
     assert p_auth == v_auth == p_trip == v_trip == 3
     # the roles took the same rows in the same order: tag = key + Delta*x
     assert len(p_wires) == len(v_wires) == 4 * sum(steps)
-    for (x, tag), (_, key) in zip(p_wires, v_wires):
-        assert tag == eadd(key, escale(delta, x))
-    a, b, c = (x for x, _ in p_wires[3:6])
+    for (x, *tag), (zero, *key) in zip(p_wires, v_wires):
+        assert zero == 0 and tuple(tag) == eadd(key, escale(delta, x))
+    a, b, c = (w[0] for w in p_wires[3:6])
     assert c == fmul(a, b)
 
 
@@ -270,8 +270,7 @@ def test_tampered_zero_claim_aborts(offset):
 def test_forged_reveal_aborts():
     def prover(s):
         x = s.input_vec([2])[0]
-        x.value = 4  # substitute the value but keep the tag
-        return s.reveal(x)
+        return s.reveal(with_value(x, 4))  # substitute the value, keep the tag
 
     def verifier(s):
         x = s.input_vec(1)[0]
@@ -287,9 +286,8 @@ def test_random_tag_forgeries_abort():
 
     def make_prover(forged_tag, forged_val):
         def prover(s):
-            x = s.input_vec([2])[0]
-            x.value, x.mac = forged_val, forged_tag
-            return s.reveal(x)
+            s.input_vec([2])
+            return s.reveal((forged_val, *forged_tag))
         return prover
 
     def verifier(s):

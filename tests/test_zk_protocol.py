@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from abstain_audit.calibration import AuditConfig
-from abstain_audit.itmac import (P, ChannelError, Dealer, LocalChannel,
-                                 Session, local_pair)
+from abstain_audit.itmac import (P, AbortError, ChannelError, Dealer,
+                                 LocalChannel, Session, local_pair)
 from abstain_audit.itmac.channel import MSG_HELLO
-from abstain_audit.itmac.field import eadd
+from abstain_audit.itmac.field import eadd, escale
 from abstain_audit.itmac.session import PROVER, VERIFIER
 from abstain_audit.nets import init_model
-from abstain_audit.zkaudit import (FixedPointParams, alpha_to_fixed, fx_audit,
-                                   fx_bin, fx_confidence, quantize_model,
-                                   run_audit, run_local_audit)
+from abstain_audit.zkaudit import (FixedPointParams, QuantizedModel,
+                                   alpha_to_fixed, fx_audit, fx_bin,
+                                   fx_confidence, quantize_model, run_audit,
+                                   run_local_audit)
 from abstain_audit.zkaudit import protocol
 from abstain_audit.zkaudit.circuit import Circuit, ZkArray, zk_bin_update
 from cheating_prover import (CIRCUIT_STRATEGIES, STRATEGIES,
@@ -79,6 +80,38 @@ def test_verifier_transcript_single_plaintext_frame():
                                 "plaintext-value"}
 
 
+def test_negative_reference_label_gets_the_oracles_verdict():
+    qm, X, y, cfg = _random_instance(1)
+    y = y.copy()
+    y[0] = -1  # a label no class matches
+    ok, _ = fx_audit(qm, X, y, cfg, FP)
+    pr, vr, _ = run_local_audit(qm, (X, y), cfg, FP)
+    assert not vr.aborted and pr.verdict == vr.verdict == ok
+
+
+def test_wrapping_accumulator_is_refused_before_the_hello(monkeypatch):
+    # a [1, 3] model with W = [[2^22], [0], [0]] at x = 2^22: the first
+    # activation is 2^60, outside the range rescale proves, and its
+    # accumulator 2^76 wraps mod p
+    W, b = ((1 << 38,), (0,), (0,)), (0, 0, 0)
+    qm = QuantizedModel(((W, b),), FP)
+    X, y = np.array([[2.0**22]]), np.array([0])
+    roles = {}
+    honest_run_audit = protocol.run_audit
+
+    def recorded_run_audit(role, *args):
+        try:
+            roles[role] = honest_run_audit(role, *args)
+        except Exception as exc:
+            roles[role] = exc
+            raise
+
+    monkeypatch.setattr(protocol, "run_audit", recorded_run_audit)
+    with pytest.raises(ValueError, match=f"activation {2**60} exceeds"):
+        run_local_audit(qm, (X, y), AuditConfig(bins=15, alpha=0.1), FP)
+    assert isinstance(roles[VERIFIER], AbortError)
+
+
 def test_reference_width_mismatch_raises():
     qm, X, y, cfg = _random_instance(0)
     X3 = np.hstack([X, X[:, :1]])  # 3 features against a [2, 4, 3] model
@@ -113,7 +146,7 @@ def test_forged_verdict_needs_the_verifiers_delta(shared_key, monkeypatch):
 
     def forged_reveal(sess, w):
         if sess.prover:
-            w.value, w.mac = w.value + 1, eadd(w.mac, delta_guess)
+            w = (w[0] + 1, *eadd(w[1:], delta_guess))
         return honest_reveal(sess, w)
 
     monkeypatch.setattr(Session, "reveal", forged_reveal)
@@ -151,6 +184,32 @@ def _two_party_circuit(prover_fn, verifier_fn):
 
 def _witnesses(circ, values):
     return circ.witness_vec(list(values) if circ.prover else len(values))
+
+
+def test_prover_row_minus_verifier_row_is_x_times_one_delta():
+    xs = [3, -5, 0, 1, 2**40, P - 1]
+
+    def body(circ, sess):
+        wires = _witnesses(circ, xs)
+        a, b, c, bit, big, top = wires
+        wires += [circ.public(7), circ.public(-2),
+                  circ.lin([-3, 2, -1], [a, b, c], -11),
+                  circ.lin([-1], [top]),
+                  *circ.mul_vec([a, b, big], [b, top, big]),
+                  circ.select(bit, a, b)]
+        sess.batch_check()
+        return wires, sess.delta
+
+    out = _two_party_circuit(body, body)
+    a, b, c, bit, big, top = xs
+    expected = xs + [7, -2, -3 * a + 2 * b - c - 11, -top,
+                     a * b, b * top, big * big, a if bit else b]
+    (p_wires, _), (v_wires, delta) = out[PROVER], out[VERIFIER]
+    assert len(p_wires) == len(v_wires) == len(expected)
+    for p_row, v_row, x in zip(p_wires, v_wires, expected):
+        assert v_row[0] == 0 and p_row[0] == x % P
+        diff = ((p_row[1] - v_row[1]) % P, (p_row[2] - v_row[2]) % P)
+        assert diff == escale(delta, x)
 
 
 def test_lt_gadget_matches_oracle():
